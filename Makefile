@@ -25,7 +25,7 @@ lint-graph:
 	$(GO) run ./cmd/reprolint -graph ./...
 
 microbench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/flight/ ./internal/sim/ ./internal/energy/
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/flight/ ./internal/sim/ ./internal/energy/ ./internal/platform/
 
 # sweep runs every ablation matrix through the parallel sweep engine with
 # the content-hash cache warm across invocations.

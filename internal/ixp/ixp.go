@@ -21,6 +21,22 @@
 // Microengine arithmetic (16 MEs x 8 threads @ 1.4 GHz) bounds how many
 // threads the scheduler may hand out; per-packet costs are expressed as
 // thread-occupancy times derived from cycle counts at that clock.
+//
+// Idle threads park instead of polling. A thread that finds its queue
+// empty would poll again every interval, and each of those polls would
+// find the queue empty until the next enqueue, changing nothing but the
+// poll chain. So the thread records the chain instead — its next grid
+// point, the interval, the sequence number the next poll event would have
+// taken — and schedules nothing. An enqueue wakes every parked thread of
+// the queue at its first grid point not yet passed: the packet is picked
+// up at exactly the instant the polling thread would have found it, so
+// the polling interval remains the modeled detection latency and a Tune
+// knob. A resize wakes parked surplus threads so they die where their
+// next poll would have; a poll-interval change rebases a parked grid
+// after the poll already due; a thread held by a full host ring keeps
+// polling. Wakes carry the key of the poll they stand for (see
+// sim.Simulator.AtSeq and sim.Rank), so every event fires in the order
+// the polling loop gives.
 package ixp
 
 import (
@@ -171,14 +187,14 @@ func New(s *sim.Simulator, cfg Config, hostChan *pcie.Channel, deliver func(*net
 	}
 	x.txq = newFlowQueue(x, -1, cfg.BufferBytes)
 	//lint:allow tapcover(construction-time provisioning; the flight recorder is not attached yet and replay starts from the constructed state)
-	x.txq.setThreads(x.txThreads)
+	x.txq.w.setThreads(x.txThreads)
 	x.rx = newRxStage(x, cfg.RxRingBytes)
 	if err := x.mes.Assign(cfg.ClassifierThreads); err != nil {
 		panic(fmt.Sprintf("ixp: assigning classifier microengine threads: %v", err))
 	}
 	x.threads += cfg.ClassifierThreads
 	//lint:allow tapcover(construction-time provisioning; the flight recorder is not attached yet and replay starts from the constructed state)
-	x.rx.setThreads(cfg.ClassifierThreads)
+	x.rx.w.setThreads(cfg.ClassifierThreads)
 	return x
 }
 
@@ -246,7 +262,7 @@ func (x *IXP) SetFlowThreads(vmID, n int) error {
 	if n < 1 {
 		return fmt.Errorf("ixp: flow threads must be >= 1, got %d", n)
 	}
-	delta := n - q.threads
+	delta := n - q.w.threads
 	if delta > 0 {
 		if err := x.mes.Assign(delta); err != nil {
 			return err
@@ -257,7 +273,7 @@ func (x *IXP) SetFlowThreads(vmID, n int) error {
 		}
 	}
 	x.threads += delta
-	q.setThreads(n)
+	q.w.setThreads(n)
 	if x.rec != nil && delta != 0 {
 		x.rec.Record(flight.Event{
 			T: x.sim.Now(), Cat: flight.CatIXP, Code: flight.IXPThreads,
@@ -281,6 +297,7 @@ func (x *IXP) SetFlowPollInterval(vmID int, d sim.Time) error {
 	}
 	if q.poll != d {
 		q.poll = d
+		q.w.rebase(q.PollInterval())
 		if x.rec != nil {
 			x.rec.Record(flight.Event{
 				T: x.sim.Now(), Cat: flight.CatIXP, Code: flight.IXPPoll,
@@ -337,7 +354,7 @@ func (x *IXP) MEOccupancy() [NumMicroengines]int { return x.mes.Occupancy() }
 // FlowThreads returns the dequeue threads currently serving vmID, or 0.
 func (x *IXP) FlowThreads(vmID int) int {
 	if q, ok := x.flows[vmID]; ok {
-		return q.threads
+		return q.w.threads
 	}
 	return 0
 }

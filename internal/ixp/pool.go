@@ -1,0 +1,207 @@
+package ixp
+
+import (
+	"repro/internal/netsim"
+	"repro/internal/sim"
+)
+
+// station is a packet queue served by a pool of microengine threads: the
+// Rx classification ring or a flow queue.
+type station interface {
+	pop() *netsim.Packet
+	// PollInterval is the polling interval of an idle thread.
+	PollInterval() sim.Time
+	// gated reports whether threads must hold their next packet (the host
+	// message ring is full) and poll again instead.
+	gated() bool
+	// serviceCost is the thread occupancy of the packet just popped.
+	serviceCost() sim.Time
+	// serve finishes a packet once its service cost has elapsed.
+	serve(p *netsim.Packet)
+}
+
+// pool is the thread lifecycle shared by the classifier stage and the flow
+// queues. Slot id runs while id < threads: it pops a packet, holds it for
+// the service cost, serves it, and loops. A slot that finds its queue empty
+// parks on its poll grid instead of polling; see park.
+type pool struct {
+	sim     *sim.Simulator
+	st      station
+	threads int
+	slots   []slot
+	// idle runs when a live, ungated slot finds its queue empty: park, or
+	// in package tests the polling reference the parked pool is checked
+	// against.
+	idle func(id int)
+}
+
+// slot is one thread context. A parked slot's pending poll is the grid
+// point next, keyed (next, born, seq, rank) when exact is set and
+// otherwise as a poll scheduled at born; later polls follow every every.
+type slot struct {
+	alive, parked bool
+	exact         bool
+	next, born    sim.Time
+	every         sim.Time
+	seq           uint64
+	rank          *sim.Rank
+
+	cur        *netsim.Packet // packet in service
+	poll, done func()         // prebuilt callbacks
+}
+
+func newPool(s *sim.Simulator, st station) *pool {
+	p := &pool{sim: s, st: st}
+	p.idle = p.park
+	return p
+}
+
+// setThreads resizes the pool. Growing spawns a loop for every dead slot
+// below n. Shrinking lets each surplus slot die at its next loop boundary;
+// a parked surplus slot is woken so that it dies at the grid point its
+// pending poll would have reached.
+func (p *pool) setThreads(n int) {
+	p.threads = n
+	for len(p.slots) < n {
+		id := len(p.slots)
+		p.slots = append(p.slots, slot{
+			poll: func() { p.loop(id) },
+			done: func() { p.finish(id) },
+		})
+	}
+	for id := 0; id < n; id++ {
+		if w := &p.slots[id]; !w.alive {
+			w.alive = true
+			p.sim.After(0, w.poll)
+		}
+	}
+	for id := n; id < len(p.slots); id++ {
+		p.wake(id)
+	}
+}
+
+// loop is one iteration of slot id: die if deallocated, hold while gated,
+// else pop and serve a packet or go idle.
+func (p *pool) loop(id int) {
+	w := &p.slots[id]
+	if id >= p.threads {
+		w.alive = false
+		return
+	}
+	if p.st.gated() {
+		every, now := p.st.PollInterval(), p.sim.Now()
+		p.sim.AtSeq(now+every, now, p.sim.Reserve(), p.sim.ChainRank(every), w.poll)
+		return
+	}
+	pkt := p.st.pop()
+	if pkt == nil {
+		p.idle(id)
+		return
+	}
+	w.cur = pkt
+	p.sim.After(p.st.serviceCost(), w.done)
+}
+
+// finish completes slot id's packet and loops.
+func (p *pool) finish(id int) {
+	w := &p.slots[id]
+	pkt := w.cur
+	w.cur = nil
+	p.st.serve(pkt)
+	p.loop(id)
+}
+
+// park takes the place of scheduling the next poll. Polls of an empty
+// queue change nothing but the poll chain itself, so the slot records the
+// chain instead: the next poll's time and the sequence number its event
+// would have taken. wake turns the chain back into an event once a poll
+// could see something.
+func (p *pool) park(id int) {
+	w := &p.slots[id]
+	now := p.sim.Now()
+	w.every = p.st.PollInterval()
+	w.rank = p.sim.ChainRank(w.every)
+	w.parked, w.exact = true, true
+	w.next, w.born = now+w.every, now
+	w.seq = p.sim.Reserve()
+}
+
+// wakeAll wakes every parked slot in slot order; an enqueue calls it.
+func (p *pool) wakeAll() {
+	for id := range p.slots {
+		p.wake(id)
+	}
+}
+
+// wake schedules parked slot id's poll at the first grid point not yet
+// passed. At the grid point the slot parked for, the poll gets the
+// reserved key and is the very event the polling loop would have
+// scheduled. At a later point g it is keyed as born at g-every, the
+// instant the previous poll of the chain would have run, so it sorts
+// before every event scheduled after that instant and after every event
+// scheduled before it; the chain's rank orders it among the polls
+// scheduled at that instant (see sim.Rank).
+func (p *pool) wake(id int) {
+	w := &p.slots[id]
+	if !w.parked {
+		return
+	}
+	p.settle(w)
+	w.parked = false
+	seq := w.seq
+	if !w.exact {
+		seq = p.sim.Reserve()
+	}
+	p.sim.AtSeq(w.next, w.born, seq, w.rank, w.poll)
+}
+
+// rebase switches every parked slot to a new poll interval the way a
+// pending poll would: the poll already due keeps the old interval and the
+// chain continues from it on the new one.
+func (p *pool) rebase(every sim.Time) {
+	for id := range p.slots {
+		if w := &p.slots[id]; w.parked {
+			p.settle(w)
+			w.every = every
+		}
+	}
+}
+
+// settle advances a parked slot's grid to its first point not yet passed.
+// A later point's poll is keyed with a fresh sequence number when woken, so
+// among polls and events born at the same instant it counts as not passed.
+// Past a point whose delay differs from the period, the chain continues
+// under a new rank rooted at that point, as ChainRank would make it there.
+func (p *pool) settle(w *slot) {
+	if !p.passed(w) {
+		return
+	}
+	if w.next-w.born != w.every {
+		w.rank = sim.RootRank(w.next, w.born, p.seq(w), w.rank, w.every)
+	}
+	now := p.sim.Now()
+	k := sim.Time(1)
+	if now > w.next {
+		k = (now - w.next + w.every - 1) / w.every
+	}
+	w.next += k * w.every
+	w.born = w.next - w.every
+	w.exact = false
+	if p.passed(w) {
+		w.next += w.every
+		w.born += w.every
+	}
+}
+
+func (p *pool) passed(w *slot) bool {
+	return p.sim.Passed(w.next, w.born, p.seq(w), w.rank)
+}
+
+// seq is the sequence number of a parked slot's pending poll; one not yet
+// reserved sorts after every number allocated so far.
+func (p *pool) seq(w *slot) uint64 {
+	if w.exact {
+		return w.seq
+	}
+	return ^uint64(0)
+}

@@ -15,11 +15,10 @@ type FlowQueue struct {
 	vmID     int
 	capBytes int
 
-	pkts  []*netsim.Packet
+	fifo  fifo
 	bytes int
 
-	threads int
-	alive   []bool // per-worker-slot liveness
+	w *pool // dequeue threads
 
 	// Edge-triggered high-watermark notification (buffer monitoring use
 	// case, Figure 7): fired when occupancy crosses the threshold upward,
@@ -35,14 +34,16 @@ type FlowQueue struct {
 }
 
 func newFlowQueue(x *IXP, vmID, capBytes int) *FlowQueue {
-	return &FlowQueue{x: x, vmID: vmID, capBytes: capBytes, watermarkArmed: true}
+	q := &FlowQueue{x: x, vmID: vmID, capBytes: capBytes, watermarkArmed: true}
+	q.w = newPool(x.sim, q)
+	return q
 }
 
 // VM returns the destination VM this queue serves (-1 for the tx queue).
 func (q *FlowQueue) VM() int { return q.vmID }
 
 // Len returns the number of queued packets.
-func (q *FlowQueue) Len() int { return len(q.pkts) }
+func (q *FlowQueue) Len() int { return q.fifo.len() }
 
 // Bytes returns the current DRAM buffer occupancy in bytes.
 func (q *FlowQueue) Bytes() int { return q.bytes }
@@ -54,7 +55,7 @@ func (q *FlowQueue) MaxBytes() int { return q.maxBytes }
 func (q *FlowQueue) Capacity() int { return q.capBytes }
 
 // Threads returns the number of dequeue threads serving the queue.
-func (q *FlowQueue) Threads() int { return q.threads }
+func (q *FlowQueue) Threads() int { return q.w.threads }
 
 // PollInterval returns the queue's effective dequeue-thread polling
 // interval.
@@ -88,12 +89,13 @@ func (q *FlowQueue) enqueue(p *netsim.Packet) bool {
 		q.drops++
 		return false
 	}
-	q.pkts = append(q.pkts, p)
+	q.fifo.push(p)
 	q.bytes += p.Size
 	q.enq++
 	if q.bytes > q.maxBytes {
 		q.maxBytes = q.bytes
 	}
+	q.w.wakeAll()
 	if q.watermark > 0 && q.watermarkArmed && q.bytes >= q.watermark && q.watermarkFn != nil {
 		q.watermarkArmed = false
 		q.x.tracer.Emit(trace.CatNet, "ixp watermark: flow %d crossed %dB (now %dB)", q.vmID, q.watermark, q.bytes)
@@ -104,13 +106,10 @@ func (q *FlowQueue) enqueue(p *netsim.Packet) bool {
 
 // pop removes the head packet, or returns nil.
 func (q *FlowQueue) pop() *netsim.Packet {
-	if len(q.pkts) == 0 {
+	p := q.fifo.pop()
+	if p == nil {
 		return nil
 	}
-	p := q.pkts[0]
-	copy(q.pkts, q.pkts[1:])
-	q.pkts[len(q.pkts)-1] = nil
-	q.pkts = q.pkts[:len(q.pkts)-1]
 	q.bytes -= p.Size
 	q.deq++
 	if q.watermark > 0 && q.bytes < q.watermark {
@@ -119,58 +118,57 @@ func (q *FlowQueue) pop() *netsim.Packet {
 	return p
 }
 
-// setThreads adjusts the worker count. Shrinking lets surplus workers die
-// at their next loop boundary; growing spawns workers for the new slots.
-func (q *FlowQueue) setThreads(n int) {
-	q.threads = n
-	for len(q.alive) < n {
-		q.alive = append(q.alive, false)
-	}
-	for id := 0; id < n; id++ {
-		if !q.alive[id] {
-			q.alive[id] = true
-			q.spawn(id)
-		}
-	}
+// gated holds host-bound descriptors in DRAM while the host message ring
+// is full; the transmit queue is never gated.
+func (q *FlowQueue) gated() bool {
+	return q.vmID != -1 && q.x.hostGate != nil && q.x.hostGate()
 }
 
-// spawn schedules the first iteration of worker id's loop.
-func (q *FlowQueue) spawn(id int) {
-	q.x.sim.After(0, func() { q.workerLoop(id) })
-}
-
-// workerLoop is one dequeue thread: pop a packet and service it, or poll
-// again after the polling interval. The service cost and delivery target
-// depend on the queue's direction.
-func (q *FlowQueue) workerLoop(id int) {
-	if id >= q.threads {
-		q.alive[id] = false // deallocated by a Tune action
-		return
-	}
-	if q.vmID != -1 && q.x.hostGate != nil && q.x.hostGate() {
-		// Host message ring full: hold the descriptor in DRAM and re-poll.
-		q.x.sim.After(q.PollInterval(), func() { q.workerLoop(id) })
-		return
-	}
-	p := q.pop()
-	if p == nil {
-		q.x.sim.After(q.PollInterval(), func() { q.workerLoop(id) })
-		return
-	}
-	var cost sim.Time
+func (q *FlowQueue) serviceCost() sim.Time {
 	if q.vmID == -1 {
-		cost = q.x.cfg.TxCost
-	} else {
-		cost = q.x.cfg.DequeueCost
+		return q.x.scaledCost(q.x.cfg.TxCost)
 	}
-	q.x.sim.After(q.x.scaledCost(cost), func() {
-		if q.vmID == -1 {
-			if q.x.toWire != nil {
-				q.x.toWire(p)
-			}
-		} else {
-			q.x.deliverToHost(p)
+	return q.x.scaledCost(q.x.cfg.DequeueCost)
+}
+
+// serve delivers a dequeued packet: to the wire from the transmit queue,
+// to the host from a flow queue.
+func (q *FlowQueue) serve(p *netsim.Packet) {
+	if q.vmID == -1 {
+		if q.x.toWire != nil {
+			q.x.toWire(p)
 		}
-		q.workerLoop(id)
-	})
+		return
+	}
+	q.x.deliverToHost(p)
+}
+
+// fifo is a packet FIFO with an O(1) pop: a head index into the backing
+// slice, compacted once the consumed prefix is at least half of it.
+type fifo struct {
+	pkts []*netsim.Packet
+	head int
+}
+
+func (f *fifo) len() int { return len(f.pkts) - f.head }
+
+// push appends p; callers bound the queue by bytes before pushing.
+func (f *fifo) push(p *netsim.Packet) { f.pkts = append(f.pkts, p) }
+
+func (f *fifo) pop() *netsim.Packet {
+	if f.head == len(f.pkts) {
+		return nil
+	}
+	p := f.pkts[f.head]
+	f.pkts[f.head] = nil
+	f.head++
+	switch {
+	case f.head == len(f.pkts):
+		f.pkts, f.head = f.pkts[:0], 0
+	case f.head >= 32 && 2*f.head >= len(f.pkts):
+		n := copy(f.pkts, f.pkts[f.head:])
+		clear(f.pkts[n:])
+		f.pkts, f.head = f.pkts[:n], 0
+	}
+	return p
 }

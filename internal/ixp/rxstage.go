@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -15,18 +16,19 @@ import (
 // queue. The stage's buffer models the Rx ring in SRAM.
 type rxStage struct {
 	x        *IXP
-	pkts     []*netsim.Packet
+	fifo     fifo
 	bytes    int
 	capBytes int
 
-	threads int
-	alive   []bool
+	w *pool // classifier threads
 
 	enq, drops uint64
 }
 
 func newRxStage(x *IXP, capBytes int) *rxStage {
-	return &rxStage{x: x, capBytes: capBytes}
+	st := &rxStage{x: x, capBytes: capBytes}
+	st.w = newPool(x.sim, st)
+	return st
 }
 
 // enqueue admits a packet from the wire, or tail-drops on a full Rx ring.
@@ -35,56 +37,25 @@ func (st *rxStage) enqueue(p *netsim.Packet) bool {
 		st.drops++
 		return false
 	}
-	st.pkts = append(st.pkts, p)
+	st.fifo.push(p)
 	st.bytes += p.Size
 	st.enq++
+	st.w.wakeAll()
 	return true
 }
 
 func (st *rxStage) pop() *netsim.Packet {
-	if len(st.pkts) == 0 {
-		return nil
+	p := st.fifo.pop()
+	if p != nil {
+		st.bytes -= p.Size
 	}
-	p := st.pkts[0]
-	copy(st.pkts, st.pkts[1:])
-	st.pkts[len(st.pkts)-1] = nil
-	st.pkts = st.pkts[:len(st.pkts)-1]
-	st.bytes -= p.Size
 	return p
 }
 
-// setThreads adjusts the classifier pool (same lifecycle discipline as the
-// flow queues' dequeue workers).
-func (st *rxStage) setThreads(n int) {
-	st.threads = n
-	for len(st.alive) < n {
-		st.alive = append(st.alive, false)
-	}
-	for id := 0; id < n; id++ {
-		if !st.alive[id] {
-			st.alive[id] = true
-			id := id
-			st.x.sim.After(0, func() { st.workerLoop(id) })
-		}
-	}
-}
-
-// workerLoop is one classifier thread.
-func (st *rxStage) workerLoop(id int) {
-	if id >= st.threads {
-		st.alive[id] = false
-		return
-	}
-	p := st.pop()
-	if p == nil {
-		st.x.sim.After(st.x.cfg.PollInterval, func() { st.workerLoop(id) })
-		return
-	}
-	st.x.sim.After(st.x.scaledCost(st.x.cfg.ClassifyCost), func() {
-		st.x.classify(p)
-		st.workerLoop(id)
-	})
-}
+func (st *rxStage) PollInterval() sim.Time { return st.x.cfg.PollInterval }
+func (st *rxStage) gated() bool            { return false }
+func (st *rxStage) serviceCost() sim.Time  { return st.x.scaledCost(st.x.cfg.ClassifyCost) }
+func (st *rxStage) serve(p *netsim.Packet) { st.x.classify(p) }
 
 // SetClassifierThreads resizes the Rx classification pool — a third
 // IXP-side allocation knob alongside dequeue threads and poll intervals.
@@ -92,7 +63,7 @@ func (x *IXP) SetClassifierThreads(n int) error {
 	if n < 1 {
 		return fmt.Errorf("ixp: classifier threads must be >= 1, got %d", n)
 	}
-	delta := n - x.rx.threads
+	delta := n - x.rx.w.threads
 	if delta > 0 {
 		if err := x.mes.Assign(delta); err != nil {
 			return err
@@ -103,7 +74,7 @@ func (x *IXP) SetClassifierThreads(n int) error {
 		}
 	}
 	x.threads += delta
-	x.rx.setThreads(n)
+	x.rx.w.setThreads(n)
 	if x.rec != nil && delta != 0 {
 		x.rec.Record(flight.Event{
 			T: x.sim.Now(), Cat: flight.CatIXP, Code: flight.IXPClassifier,
@@ -114,7 +85,7 @@ func (x *IXP) SetClassifierThreads(n int) error {
 }
 
 // ClassifierThreads returns the Rx classification pool size.
-func (x *IXP) ClassifierThreads() int { return x.rx.threads }
+func (x *IXP) ClassifierThreads() int { return x.rx.w.threads }
 
 // RxStageDrops returns packets tail-dropped at the Rx ring before
 // classification.

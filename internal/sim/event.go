@@ -5,9 +5,11 @@ package sim
 // be reused after it has fired or been cancelled.
 type Event struct {
 	when      Time
+	born      Time   // instant the event was scheduled at (see eventHeap)
 	seq       uint64 // FIFO tie-break among events at the same instant
 	fn        func()
-	index     int // position in the heap, -1 when not queued
+	rank      *Rank // poll-chain position, nil for ordinary events
+	index     int32 // position in the heap, -1 when not queued
 	cancelled bool
 }
 
@@ -25,26 +27,52 @@ func (e *Event) Cancel() {
 	e.fn = nil
 }
 
-// eventHeap is a binary min-heap ordered by (when, seq).
+// eventHeap is a binary min-heap ordered by (when, born, seq), except that
+// two poll-chain events tying on (when, born) compare by Rank.
+//
+// For events scheduled with At, born is the clock at scheduling time and
+// never decreases as seq grows, so the born component changes nothing: the
+// order is plain (when, seq), FIFO among same-instant events. It matters
+// only for AtSeq events, whose born may lie in the past: such an event
+// sorts among same-instant events as if it had been scheduled at born,
+// after every event scheduled before that instant and before every event
+// scheduled after it.
 type eventHeap []*Event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// before is the heap order. Its common case, distinct times, inlines into
+// every sift; ties go out of line to tieLess.
+func before(a, b *Event) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return h[i].seq < h[j].seq
+	return a.tieLess(b)
+}
+
+// tieLess orders e against a same-instant event o.
+//
+//go:noinline
+func (e *Event) tieLess(o *Event) bool {
+	if e.born != o.born {
+		return e.born < o.born
+	}
+	if e.rank != nil && o.rank != nil {
+		if c := e.rank.cmp(o.rank); c != 0 {
+			return c < 0
+		}
+	}
+	return e.seq < o.seq
 }
 
 func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 
 func (h *eventHeap) push(e *Event) {
-	e.index = len(*h)
+	e.index = int32(len(*h))
 	*h = append(*h, e)
-	h.up(e.index)
+	h.up(len(*h) - 1)
 }
 
 func (h *eventHeap) pop() *Event {
@@ -64,7 +92,7 @@ func (h *eventHeap) pop() *Event {
 func (h eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !before(h[i], h[parent]) {
 			break
 		}
 		h.swap(i, parent)
@@ -80,10 +108,10 @@ func (h eventHeap) down(i int) {
 			return
 		}
 		least := left
-		if right := left + 1; right < n && h.less(right, left) {
+		if right := left + 1; right < n && before(h[right], h[left]) {
 			least = right
 		}
-		if !h.less(least, i) {
+		if !before(h[least], h[i]) {
 			return
 		}
 		h.swap(i, least)

@@ -13,12 +13,18 @@ type Simulator struct {
 	running bool
 	stopped bool
 	fired   uint64
+
+	// curBorn, curSeq and curRank are the key of the event executing at
+	// now, or of the last one executed; Passed compares against them.
+	curBorn Time
+	curSeq  uint64
+	curRank *Rank
 }
 
 // New returns a Simulator whose clock starts at zero and whose random source
 // is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: NewRand(seed)}
+	return &Simulator{rng: NewRand(seed), curBorn: -1}
 }
 
 // Now returns the current virtual time.
@@ -43,10 +49,56 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	e := &Event{when: t, seq: s.seq, fn: fn, index: -1}
+	e := &Event{when: t, born: s.now, seq: s.seq, fn: fn, index: -1}
 	s.seq++
 	s.queue.push(e)
 	return e
+}
+
+// Reserve allocates the sequence number the next At would use, without
+// scheduling anything. A component that may later need an event ordered
+// exactly as one scheduled now reserves the number and hands it to AtSeq.
+func (s *Simulator) Reserve() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// AtSeq schedules fn at t with an explicit tie-break key: among events at
+// t it sorts as if it had been scheduled at instant born with sequence
+// number seq (see eventHeap), and among polls of chains on its grid by
+// rank r (nil for an event outside every chain). With born and seq from a
+// Reserve made at born, the event is indistinguishable from an At made
+// then. It panics if t is before now, born is after now or t, or seq was
+// never allocated.
+func (s *Simulator) AtSeq(t, born Time, seq uint64, r *Rank, fn func()) *Event {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	if born > s.now || born > t {
+		panic(fmt.Sprintf("sim: event born at %v after now %v or its time %v", born, s.now, t))
+	}
+	if seq >= s.seq {
+		panic(fmt.Sprintf("sim: sequence number %d not yet allocated (next %d)", seq, s.seq))
+	}
+	if fn == nil {
+		panic("sim: scheduling nil callback")
+	}
+	e := &Event{when: t, born: born, seq: seq, fn: fn, rank: r, index: -1}
+	s.queue.push(e)
+	return e
+}
+
+// Passed reports whether an event with key (t, born, seq, r) would already
+// have fired: its time is before now, or it is at now and sorts before the
+// event executing (or last executed) at now. After RunUntil advances the
+// clock past the last event, every key at now counts as passed.
+func (s *Simulator) Passed(t, born Time, seq uint64, r *Rank) bool {
+	if t != s.now {
+		return t < s.now
+	}
+	e := Event{born: born, seq: seq, rank: r}
+	return e.tieLess(&Event{born: s.curBorn, seq: s.curSeq, rank: s.curRank})
 }
 
 // After schedules fn to run d after the current time. A negative d panics.
@@ -67,6 +119,7 @@ func (s *Simulator) Step() bool {
 			continue
 		}
 		s.now = e.when
+		s.curBorn, s.curSeq, s.curRank = e.born, e.seq, e.rank
 		fn := e.fn
 		e.fn = nil
 		s.fired++
@@ -97,6 +150,14 @@ func (s *Simulator) RunUntil(deadline Time) {
 			break
 		}
 		s.Step()
+	}
+	switch {
+	case !s.stopped:
+		// Every event at or before deadline has fired.
+		s.curBorn, s.curSeq, s.curRank = Time(1<<63-1), ^uint64(0), nil
+	case s.now < deadline:
+		// Stopped early: nothing at deadline has fired.
+		s.curBorn, s.curSeq, s.curRank = -1, 0, nil
 	}
 	if s.now < deadline {
 		s.now = deadline
