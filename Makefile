@@ -47,12 +47,13 @@ sweep:
 bench:
 	$(GO) run ./cmd/reprobench -exp sweep-bench -json /tmp/BENCH_sweep.json -baseline BENCH_sweep.json
 
-# fuzz gives the reliability-protocol and fault-plan-generator fuzzers a
-# short budget each; CI and local smoke runs share the checked-in corpus
-# under testdata.
+# fuzz gives the reliability-protocol, fault-plan-generator and event-queue
+# fuzzers a short budget each; CI and local smoke runs share the checked-in
+# corpus under testdata.
 fuzz:
 	$(GO) test -run FuzzReliableEndpoint -fuzz FuzzReliableEndpoint -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFaultPlanGen -fuzz FuzzFaultPlanGen -fuzztime 30s ./internal/chaos/
+	$(GO) test -run FuzzEventQueue -fuzz FuzzEventQueue -fuzztime 30s ./internal/sim/
 
 # chaos runs the fault-injection suites: the root RUBiS chaos tests plus
 # the coordination-plane protocol tests under the race detector.

@@ -49,7 +49,7 @@ type X86Actuator struct {
 // surgeState tracks one entity's in-flight trigger surge.
 type surgeState struct {
 	preWeight int
-	expire    *sim.Event
+	expire    sim.Event
 }
 
 // NewX86Actuator wraps a XenCtrl interface with default clamps.

@@ -109,7 +109,7 @@ type pendingMsg struct {
 	attempts int
 	rto      sim.Time
 	deadline sim.Time // at-most-once expiry; 0 = retry until MaxRetries
-	timer    *sim.Event
+	timer    sim.Event
 }
 
 // ReliableEndpoint is one side of a reliability layer decorating a pair of
@@ -141,7 +141,7 @@ type ReliableEndpoint struct {
 
 	expected uint64 // next in-order sequence number to deliver
 	buffer   map[uint64]Message
-	gapTimer *sim.Event
+	gapTimer sim.Event
 
 	up      bool
 	onState func(up bool)
@@ -428,15 +428,14 @@ func (e *ReliableEndpoint) drainBuffer() {
 		e.deliver(m)
 		e.expected++
 	}
-	if len(e.buffer) == 0 && e.gapTimer != nil {
+	if len(e.buffer) == 0 {
 		e.gapTimer.Cancel()
-		e.gapTimer = nil
 	}
 }
 
 // armGapTimer schedules the gap-skip check if one is not already pending.
 func (e *ReliableEndpoint) armGapTimer() {
-	if e.gapTimer != nil || len(e.buffer) == 0 {
+	if e.gapTimer.Pending() || len(e.buffer) == 0 {
 		return
 	}
 	e.gapTimer = e.sim.After(e.cfg.ReorderHold, e.gapExpire)
@@ -447,7 +446,6 @@ func (e *ReliableEndpoint) armGapTimer() {
 // them, and holding newer state hostage to a permanent gap would freeze the
 // actuators.
 func (e *ReliableEndpoint) gapExpire() {
-	e.gapTimer = nil
 	if len(e.buffer) == 0 {
 		return
 	}

@@ -475,7 +475,7 @@ func (p *Platform) enableWatchdog() {
 	cfg := p.cfg
 	p.IXPAgent.EnableHeartbeat(p.Sim, cfg.HeartbeatInterval)
 
-	var revert *sim.Event
+	var revert sim.Event
 	wcfg := core.WatchdogConfig{
 		CheckPeriod:  cfg.HeartbeatInterval,
 		SuspectAfter: cfg.LeaseSuspectAfter,
@@ -484,20 +484,13 @@ func (p *Platform) enableWatchdog() {
 			if island != IXPIsland {
 				return
 			}
-			if revert != nil {
-				revert.Cancel()
-			}
-			revert = p.Sim.After(cfg.DegradeHold, func() {
-				revert = nil
-				p.X86Act.RevertToBaseline()
-			})
+			revert.Cancel()
+			revert = p.Sim.After(cfg.DegradeHold, p.X86Act.RevertToBaseline)
 		},
 		OnRejoin: func(island string) {
-			if island != IXPIsland || revert == nil {
-				return
+			if island == IXPIsland {
+				revert.Cancel()
 			}
-			revert.Cancel()
-			revert = nil
 		},
 	}
 	if p.Group != nil {
@@ -519,25 +512,15 @@ func (p *Platform) enableWatchdog() {
 	// baselines after the same hold-down. A promoted (or restarted)
 	// primary resumes pings, the agent recovers, and the tune loop
 	// rebuilds actuation from the reconciled state.
-	var x86Revert *sim.Event
+	var x86Revert sim.Event
 	p.X86Agent.EnableDegradation(p.Sim, core.DegradeConfig{
 		CheckPeriod:  cfg.HeartbeatInterval,
 		LeaseTimeout: cfg.LeaseDeadAfter,
 		OnDegrade: func() {
-			if x86Revert != nil {
-				x86Revert.Cancel()
-			}
-			x86Revert = p.Sim.After(cfg.DegradeHold, func() {
-				x86Revert = nil
-				p.X86Act.RevertToBaseline()
-			})
+			x86Revert.Cancel()
+			x86Revert = p.Sim.After(cfg.DegradeHold, p.X86Act.RevertToBaseline)
 		},
-		OnRecover: func() {
-			if x86Revert != nil {
-				x86Revert.Cancel()
-				x86Revert = nil
-			}
-		},
+		OnRecover: func() { x86Revert.Cancel() },
 	})
 }
 

@@ -1,34 +1,97 @@
 package sim
 
-// Event is a scheduled callback. Events are created by Simulator.At and
-// Simulator.After and may be cancelled before they fire. An Event must not
-// be reused after it has fired or been cancelled.
+// Event is a handle to a scheduled callback, returned by Simulator.At,
+// After and AtSeq. It is a small value: copy it freely. The zero Event
+// refers to nothing.
+//
+// A handle names a slot of the simulator's event slab and the generation
+// the slot had when the event was scheduled. Firing or cancelling the event
+// bumps the slot's generation, so every copy of the handle goes stale at
+// once, and stays stale after the slot is reused for a later event: Cancel
+// and Pending on a zero, fired, cancelled or stale handle never touch the
+// slot's new occupant. (The generation is 32 bits: a stale handle could
+// alias only after 2^32 more events in its slot, far more than any trial
+// fires in all.)
 type Event struct {
-	when      Time
-	born      Time   // instant the event was scheduled at (see eventHeap)
-	seq       uint64 // FIFO tie-break among events at the same instant
-	fn        func()
-	rank      *Rank // poll-chain position, nil for ordinary events
-	index     int32 // position in the heap, -1 when not queued
-	cancelled bool
+	s    *Simulator
+	slot uint32
+	gen  uint32
 }
 
-// When returns the virtual time at which the event is scheduled to fire.
-func (e *Event) When() Time { return e.when }
-
-// Cancelled reports whether Cancel has been called on the event.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired or was already cancelled is a no-op. Cancel is O(1); the event is
-// lazily discarded when it reaches the head of the queue.
-func (e *Event) Cancel() {
-	e.cancelled = true
-	e.fn = nil
+// Pending reports whether the event is still scheduled: it has neither
+// fired nor been cancelled.
+func (e Event) Pending() bool {
+	return e.s != nil && e.s.slot(e.slot).gen == e.gen
 }
 
-// eventHeap is a binary min-heap ordered by (when, born, seq), except that
-// two poll-chain events tying on (when, born) compare by Rank.
+// Cancel prevents the event from firing. Cancelling an event that is not
+// pending is a no-op. Cancel is O(1); the queue entry is discarded lazily
+// when it reaches the head of the queue.
+func (e Event) Cancel() {
+	if !e.Pending() {
+		return
+	}
+	sl := e.s.slot(e.slot)
+	sl.gen++
+	sl.fn = nil
+}
+
+// slot is one event's storage in the slab. Cancel clears fn, which marks
+// the slot cancelled; the slot keeps its key (born and rank) until its
+// queue entry is popped, because the entry still sorts by it.
+type slot struct {
+	fn   func()
+	rank *Rank // poll-chain position, nil for ordinary events
+	born Time  // instant the event was scheduled at (see tieKey)
+	gen  uint32
+	next uint32 // 1 + the next free slot, while on the free list
+}
+
+// The slab is a list of fixed-size pages, so a slot never moves and a
+// growing slab copies page pointers, not events.
+const (
+	pageShift = 10
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+func (s *Simulator) slot(i uint32) *slot {
+	return &s.pages[i>>pageShift][i&pageMask]
+}
+
+// alloc returns a free slot, from the free list or a fresh page.
+func (s *Simulator) alloc() uint32 {
+	if s.free != 0 {
+		i := s.free - 1
+		s.free = s.slot(i).next
+		return i
+	}
+	if s.slots&pageMask == 0 {
+		s.pages = append(s.pages, new([pageSize]slot))
+	}
+	i := s.slots
+	s.slots++
+	return i
+}
+
+// release puts slot i, whose queue entry has been popped, on the free list.
+func (s *Simulator) release(i uint32, sl *slot) {
+	sl.fn, sl.rank = nil, nil
+	sl.next = s.free
+	s.free = i + 1
+}
+
+// entry is one queued event: its time and sequence number, and the slot
+// holding the rest of its key. Entries hold no pointers, so the garbage
+// collector never scans the queue.
+type entry struct {
+	when Time
+	seq  uint64
+	slot uint32
+}
+
+// tieKey orders events at the same instant: by born, then, between two
+// poll-chain events, by Rank, then by seq.
 //
 // For events scheduled with At, born is the clock at scheduling time and
 // never decreases as seq grows, so the born component changes nothing: the
@@ -37,84 +100,98 @@ func (e *Event) Cancel() {
 // sorts among same-instant events as if it had been scheduled at born,
 // after every event scheduled before that instant and before every event
 // scheduled after it.
-type eventHeap []*Event
-
-// before is the heap order. Its common case, distinct times, inlines into
-// every sift; ties go out of line to tieLess.
-func before(a, b *Event) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.tieLess(b)
+type tieKey struct {
+	born Time
+	seq  uint64
+	rank *Rank
 }
 
-// tieLess orders e against a same-instant event o.
-//
-//go:noinline
-func (e *Event) tieLess(o *Event) bool {
-	if e.born != o.born {
-		return e.born < o.born
+func (k tieKey) less(o tieKey) bool {
+	if k.born != o.born {
+		return k.born < o.born
 	}
-	if e.rank != nil && o.rank != nil {
-		if c := e.rank.cmp(o.rank); c != 0 {
+	if k.rank != nil && o.rank != nil {
+		if c := k.rank.cmp(o.rank); c != 0 {
 			return c < 0
 		}
 	}
-	return e.seq < o.seq
+	return k.seq < o.seq
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = int32(i)
-	h[j].index = int32(j)
-}
+// The queue is a 4-ary min-heap of entries: half the depth of a binary
+// heap, and a node's four children share a cache line or two.
+//
+// Any heap pops a strict total order in sorted order, whatever its arity,
+// so the arity cannot change which event fires next. The one place the
+// order is not total is the tie a Rank cannot order (see Rank): an event
+// outside every chain that ties on (when, born) with chain events compares
+// with them by seq while they compare with each other by Rank, and with an
+// intransitive order the pop sequence depends on the heap's shape.
+const arity = 4
 
-func (h *eventHeap) push(e *Event) {
-	e.index = int32(len(*h))
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *eventHeap) pop() *Event {
-	old := *h
-	n := len(old)
-	top := old[0]
-	old.swap(0, n-1)
-	old[n-1] = nil
-	*h = old[:n-1]
-	if n > 1 {
-		h.down(0)
+// before is the heap order. Its common case, distinct times, inlines into
+// every sift; ties go out of line to tieLess.
+func (s *Simulator) before(a, b entry) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	top.index = -1
-	return top
+	return s.tieLess(a, b)
 }
 
-func (h eventHeap) up(i int) {
+//go:noinline
+func (s *Simulator) tieLess(a, b entry) bool {
+	sa, sb := s.slot(a.slot), s.slot(b.slot)
+	return tieKey{sa.born, a.seq, sa.rank}.less(tieKey{sb.born, b.seq, sb.rank})
+}
+
+func (s *Simulator) push(e entry) {
+	s.queue = append(s.queue, e)
+	h := s.queue
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(h[i], h[parent]) {
+		parent := (i - 1) / arity
+		if !s.before(e, h[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
-func (h eventHeap) down(i int) {
-	n := len(h)
+func (s *Simulator) pop() entry {
+	h := s.queue
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	s.queue = h
+	if n == 0 {
+		return top
+	}
+	// Sift the last entry down from the root's hole.
+	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		c := arity*i + 1
+		if c >= n {
+			break
 		}
-		least := left
-		if right := left + 1; right < n && before(h[right], h[left]) {
-			least = right
+		least := c
+		end := c + arity
+		if end > n {
+			end = n
 		}
-		if !before(h[least], h[i]) {
-			return
+		for j := c + 1; j < end; j++ {
+			if s.before(h[j], h[least]) {
+				least = j
+			}
 		}
-		h.swap(i, least)
+		if !s.before(h[least], last) {
+			break
+		}
+		h[i] = h[least]
 		i = least
 	}
+	h[i] = last
+	return top
 }

@@ -40,10 +40,11 @@ func RootRank(at, born Time, seq uint64, r *Rank, period Time) *Rank {
 // a poll of a chain scheduled one period earlier, otherwise the rank of a
 // new chain rooted at it.
 func (s *Simulator) ChainRank(period Time) *Rank {
-	if s.curRank != nil && s.now-s.curBorn == period {
-		return s.curRank
+	c := s.cur
+	if c.rank != nil && s.now-c.born == period {
+		return c.rank
 	}
-	return RootRank(s.now, s.curBorn, s.curSeq, s.curRank, period)
+	return RootRank(s.now, c.born, c.seq, c.rank, period)
 }
 
 // cmp orders two ranks of chains on one grid: -1 if a's polls come first,

@@ -7,24 +7,28 @@ import "fmt"
 // single goroutine, which is what makes runs deterministic.
 type Simulator struct {
 	now     Time
-	queue   eventHeap
+	queue   []entry // 4-ary min-heap, see before
 	seq     uint64
 	rng     *Rand
 	running bool
 	stopped bool
 	fired   uint64
 
-	// curBorn, curSeq and curRank are the key of the event executing at
-	// now, or of the last one executed; Passed compares against them.
-	curBorn Time
-	curSeq  uint64
-	curRank *Rank
+	// The event slab: pages of slots, slots of them in use or free, and
+	// 1 + the head of the intrusive free list (0 when it is empty).
+	pages []*[pageSize]slot
+	slots uint32
+	free  uint32
+
+	// cur is the tie key of the event executing at now, or of the last one
+	// executed; Passed compares against it.
+	cur tieKey
 }
 
 // New returns a Simulator whose clock starts at zero and whose random source
 // is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: NewRand(seed), curBorn: -1}
+	return &Simulator{rng: NewRand(seed), cur: tieKey{born: -1}}
 }
 
 // Now returns the current virtual time.
@@ -40,19 +44,26 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // cancelled events not yet discarded).
 func (s *Simulator) Pending() int { return len(s.queue) }
 
-// At schedules fn to run at absolute virtual time t and returns the event,
-// which may be cancelled. It panics if t is before the current time.
-func (s *Simulator) At(t Time, fn func()) *Event {
+// At schedules fn to run at absolute virtual time t and returns a handle
+// to the event, which may be cancelled. It panics if t is before the
+// current time.
+func (s *Simulator) At(t Time, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	e := &Event{when: t, born: s.now, seq: s.seq, fn: fn, index: -1}
-	s.seq++
-	s.queue.push(e)
-	return e
+	return s.schedule(t, s.now, s.Reserve(), nil, fn)
+}
+
+// schedule stores the event in a free slot and queues it.
+func (s *Simulator) schedule(t, born Time, seq uint64, r *Rank, fn func()) Event {
+	i := s.alloc()
+	sl := s.slot(i)
+	sl.fn, sl.rank, sl.born = fn, r, born
+	s.push(entry{when: t, seq: seq, slot: i})
+	return Event{s: s, slot: i, gen: sl.gen}
 }
 
 // Reserve allocates the sequence number the next At would use, without
@@ -66,12 +77,12 @@ func (s *Simulator) Reserve() uint64 {
 
 // AtSeq schedules fn at t with an explicit tie-break key: among events at
 // t it sorts as if it had been scheduled at instant born with sequence
-// number seq (see eventHeap), and among polls of chains on its grid by
+// number seq (see tieKey), and among polls of chains on its grid by
 // rank r (nil for an event outside every chain). With born and seq from a
 // Reserve made at born, the event is indistinguishable from an At made
 // then. It panics if t is before now, born is after now or t, or seq was
 // never allocated.
-func (s *Simulator) AtSeq(t, born Time, seq uint64, r *Rank, fn func()) *Event {
+func (s *Simulator) AtSeq(t, born Time, seq uint64, r *Rank, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -84,9 +95,7 @@ func (s *Simulator) AtSeq(t, born Time, seq uint64, r *Rank, fn func()) *Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	e := &Event{when: t, born: born, seq: seq, fn: fn, rank: r, index: -1}
-	s.queue.push(e)
-	return e
+	return s.schedule(t, born, seq, r, fn)
 }
 
 // Passed reports whether an event with key (t, born, seq, r) would already
@@ -97,12 +106,11 @@ func (s *Simulator) Passed(t, born Time, seq uint64, r *Rank) bool {
 	if t != s.now {
 		return t < s.now
 	}
-	e := Event{born: born, seq: seq, rank: r}
-	return e.tieLess(&Event{born: s.curBorn, seq: s.curSeq, rank: s.curRank})
+	return tieKey{born, seq, r}.less(s.cur)
 }
 
 // After schedules fn to run d after the current time. A negative d panics.
-func (s *Simulator) After(d Time, fn func()) *Event {
+func (s *Simulator) After(d Time, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: scheduling event after negative delay %v", d))
 	}
@@ -113,20 +121,19 @@ func (s *Simulator) After(d Time, fn func()) *Event {
 // timestamp. It reports whether an event was executed (false when the queue
 // is empty).
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		e := s.queue.pop()
-		if e.cancelled {
-			continue
-		}
-		s.now = e.when
-		s.curBorn, s.curSeq, s.curRank = e.born, e.seq, e.rank
-		fn := e.fn
-		e.fn = nil
-		s.fired++
-		fn()
-		return true
+	if _, ok := s.peek(); !ok {
+		return false
 	}
-	return false
+	e := s.pop()
+	sl := s.slot(e.slot)
+	fn := sl.fn
+	s.now = e.when
+	s.cur = tieKey{sl.born, e.seq, sl.rank}
+	sl.gen++
+	s.release(e.slot, sl)
+	s.fired++
+	fn()
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -154,10 +161,10 @@ func (s *Simulator) RunUntil(deadline Time) {
 	switch {
 	case !s.stopped:
 		// Every event at or before deadline has fired.
-		s.curBorn, s.curSeq, s.curRank = Time(1<<63-1), ^uint64(0), nil
+		s.cur = tieKey{born: Time(1<<63 - 1), seq: ^uint64(0)}
 	case s.now < deadline:
 		// Stopped early: nothing at deadline has fired.
-		s.curBorn, s.curSeq, s.curRank = -1, 0, nil
+		s.cur = tieKey{born: -1}
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -169,14 +176,17 @@ func (s *Simulator) RunUntil(deadline Time) {
 // completes. It may be called from inside an event callback.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// peek returns the timestamp of the next live event.
+// peek discards the cancelled entries at the head of the queue and returns
+// the timestamp of the next live event.
 func (s *Simulator) peek() (Time, bool) {
 	for len(s.queue) > 0 {
-		if s.queue[0].cancelled {
-			s.queue.pop()
+		e := s.queue[0]
+		if sl := s.slot(e.slot); sl.fn == nil {
+			s.pop()
+			s.release(e.slot, sl)
 			continue
 		}
-		return s.queue[0].when, true
+		return e.when, true
 	}
 	return 0, false
 }
@@ -187,13 +197,10 @@ func (s *Simulator) Ticker(period Time, fn func()) (stop func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
 	}
-	var ev *Event
-	stopped := false
+	var ev Event
+	stopped := false // stop called from inside fn, while ev has already fired
 	var tick func()
 	tick = func() {
-		if stopped {
-			return
-		}
 		fn()
 		if !stopped {
 			ev = s.After(period, tick)
@@ -202,8 +209,6 @@ func (s *Simulator) Ticker(period Time, fn func()) (stop func()) {
 	ev = s.After(period, tick)
 	return func() {
 		stopped = true
-		if ev != nil {
-			ev.Cancel()
-		}
+		ev.Cancel()
 	}
 }

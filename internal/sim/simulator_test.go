@@ -78,9 +78,12 @@ func TestEventCancel(t *testing.T) {
 	s := New(1)
 	fired := false
 	e := s.At(10, func() { fired = true })
+	if !e.Pending() {
+		t.Fatal("Pending() = false before Cancel")
+	}
 	e.Cancel()
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if e.Pending() {
+		t.Fatal("Pending() = true after Cancel")
 	}
 	s.Run()
 	if fired {

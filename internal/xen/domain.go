@@ -84,7 +84,7 @@ type VCPU struct {
 	pcpu      *PCPU    // non-nil while running
 	runStart  sim.Time // when the current run interval began
 	current   *Task    // task being executed
-	sliceEv   *sim.Event
+	sliceEv   sim.Event
 	queuedSeq uint64 // FIFO ordering within a priority class
 
 	// freqResidue carries the remainder of the DVFS progress division

@@ -289,10 +289,7 @@ func (hv *Hypervisor) setFrequency(mhz int) error {
 		if v == nil || v.current == nil {
 			continue
 		}
-		if v.sliceEv != nil {
-			v.sliceEv.Cancel()
-			v.sliceEv = nil
-		}
+		v.sliceEv.Cancel()
 		hv.armSliceEvent(p, v)
 	}
 	return nil
@@ -403,7 +400,6 @@ func (hv *Hypervisor) sliceExpired(p *PCPU, v *VCPU) {
 	}
 	now := hv.sim.Now()
 	hv.chargeRun(v, now)
-	v.sliceEv = nil
 
 	// Complete as many tasks as finished exactly here.
 	if v.current != nil && v.current.remaining == 0 {
@@ -453,10 +449,7 @@ func (hv *Hypervisor) blockCurrent(p *PCPU) {
 	v.state = stateBlocked
 	v.blockedAt = hv.sim.Now()
 	v.boostRan = 0
-	if v.sliceEv != nil {
-		v.sliceEv.Cancel()
-		v.sliceEv = nil
-	}
+	v.sliceEv.Cancel()
 	hv.dispatch()
 }
 
@@ -562,10 +555,7 @@ func (hv *Hypervisor) preempt(p *PCPU) {
 		hv.tracer.Emit(trace.CatSched, "preempt %s/%d on pcpu%d", v.dom.name, v.id, p.id)
 	}
 	hv.chargeRun(v, hv.sim.Now())
-	if v.sliceEv != nil {
-		v.sliceEv.Cancel()
-		v.sliceEv = nil
-	}
+	v.sliceEv.Cancel()
 	if v.current != nil && v.current.remaining == 0 {
 		hv.completeTask(v)
 	}
@@ -587,10 +577,7 @@ func (hv *Hypervisor) tick() {
 		if v.current != nil && v.current.remaining == 0 {
 			// Task finished exactly on the tick; complete it and continue
 			// with the next one within the same slice.
-			if v.sliceEv != nil {
-				v.sliceEv.Cancel()
-				v.sliceEv = nil
-			}
+			v.sliceEv.Cancel()
 			hv.completeTask(v)
 			v.current = v.dom.nextTask()
 			if v.current == nil {
@@ -701,10 +688,7 @@ func (hv *Hypervisor) parkDomain(d *Domain) {
 		case stateRunning:
 			p := v.pcpu
 			hv.chargeRun(v, hv.sim.Now())
-			if v.sliceEv != nil {
-				v.sliceEv.Cancel()
-				v.sliceEv = nil
-			}
+			v.sliceEv.Cancel()
 			p.current = nil
 			v.pcpu = nil
 			v.state = stateParked
