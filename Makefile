@@ -47,13 +47,14 @@ sweep:
 bench:
 	$(GO) run ./cmd/reprobench -exp sweep-bench -json /tmp/BENCH_sweep.json -baseline BENCH_sweep.json
 
-# fuzz gives the reliability-protocol, fault-plan-generator and event-queue
-# fuzzers a short budget each; CI and local smoke runs share the checked-in
-# corpus under testdata.
+# fuzz gives the reliability-protocol, fault-plan-generator, event-queue and
+# parked-vs-polling IXP fuzzers a short budget each; CI and local smoke runs
+# share the checked-in corpus under testdata.
 fuzz:
 	$(GO) test -run FuzzReliableEndpoint -fuzz FuzzReliableEndpoint -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFaultPlanGen -fuzz FuzzFaultPlanGen -fuzztime 30s ./internal/chaos/
 	$(GO) test -run FuzzEventQueue -fuzz FuzzEventQueue -fuzztime 30s ./internal/sim/
+	$(GO) test -run FuzzIXPParkedVsPolling -fuzz FuzzIXPParkedVsPolling -fuzztime 30s ./internal/ixp/
 
 # chaos runs the fault-injection suites: the root RUBiS chaos tests plus
 # the coordination-plane protocol tests under the race detector.

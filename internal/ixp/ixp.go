@@ -33,8 +33,11 @@
 // the polling interval remains the modeled detection latency and a Tune
 // knob. A resize wakes parked surplus threads so they die where their
 // next poll would have; a poll-interval change rebases a parked grid
-// after the poll already due; a thread held by a full host ring keeps
-// polling. Wakes carry the key of the poll they stand for (see
+// after the poll already due. A flow thread held by a full host ring
+// parks the same way, on the host gate: enqueues leave it parked, and the
+// gate opening wakes it. The gate is state the ring's owner pushes with
+// SetHostGate on every change; a missed push would strand gated threads.
+// Wakes carry the key of the poll they stand for (see
 // sim.Simulator.AtSeq and sim.Rank), so every event fires in the order
 // the polling loop gives.
 package ixp
@@ -144,7 +147,7 @@ type IXP struct {
 
 	hostChan *pcie.Channel // IXP -> host (PCI-Tx direction)
 	toHost   func(*netsim.Packet)
-	hostGate func() bool // true when the host message ring is full
+	hostFull bool // the host message ring is full (see SetHostGate)
 
 	rx      *rxStage   // wire -> classification stage
 	txq     *FlowQueue // host -> wire transmit queue
@@ -159,6 +162,10 @@ type IXP struct {
 	activePools int
 
 	txThreads int
+
+	// onPool, when set, is applied to every thread pool as it is built:
+	// package tests install the polling reference with it.
+	onPool func(*pool)
 
 	rxSeen    uint64
 	rxDropped uint64
@@ -407,11 +414,23 @@ func (x *IXP) TransmitFromHost(p *netsim.Packet) {
 // clients).
 func (x *IXP) ConnectWire(fn func(*netsim.Packet)) { x.toWire = fn }
 
-// ConnectHostGate installs a host-ring-full predicate. While it returns
-// true, dequeue threads stop DMAing descriptors and packets accumulate in
-// IXP DRAM — the backpressure that makes the paper's Figure 7 buffer
-// monitoring meaningful.
-func (x *IXP) ConnectHostGate(fn func() bool) { x.hostGate = fn }
+// SetHostGate sets whether the host message ring is full. While it is,
+// dequeue threads stop DMAing descriptors and packets accumulate in IXP
+// DRAM — the backpressure that makes the paper's Figure 7 buffer
+// monitoring meaningful. The gate is state the owner of the ring pushes:
+// it must call SetHostGate with every change, at the instant of the
+// change, because threads that find the gate closed park until the call
+// that opens it. Opening it wakes them, flow by flow in registration
+// order, on their poll grids.
+func (x *IXP) SetHostGate(full bool) {
+	x.hostFull = full
+	if full {
+		return
+	}
+	for _, vm := range x.flowOrder {
+		x.flows[vm].w.wakeGated()
+	}
+}
 
 // RxSeen returns packets received from the wire.
 func (x *IXP) RxSeen() uint64 { return x.rxSeen }

@@ -479,27 +479,3 @@ func TestFlowPollIntervalOverride(t *testing.T) {
 		t.Fatal("unknown flow interval != 0")
 	}
 }
-
-// TestFIFOOrderAcrossCompaction interleaves pushes and pops across many
-// head-index compactions and checks strict FIFO order and length.
-func TestFIFOOrderAcrossCompaction(t *testing.T) {
-	var f fifo
-	var next, want uint64
-	rng := sim.NewRand(3)
-	for step := 0; step < 20000; step++ {
-		if rng.Intn(5) < 3 {
-			next++
-			f.push(pkt(next, 1, 64))
-		} else if p := f.pop(); p != nil {
-			want++
-			if p.ID != want {
-				t.Fatalf("step %d: popped %d, want %d", step, p.ID, want)
-			}
-		} else if want != next {
-			t.Fatalf("step %d: empty with %d packets outstanding", step, next-want)
-		}
-		if f.len() != int(next-want) {
-			t.Fatalf("step %d: len %d, want %d", step, f.len(), next-want)
-		}
-	}
-}

@@ -11,19 +11,25 @@ import (
 	"repro/internal/sim"
 )
 
-// usePolling switches every thread pool of x to the polling reference: an
-// idle thread schedules its next poll one interval out instead of parking.
-// This is the worker loop the parked pools replace, kept here as the
-// behaviour they must reproduce event for event.
+// usePolling switches every thread pool of x, including those of flows
+// registered later, to the polling reference.
 func usePolling(x *IXP) {
-	pools := []*pool{x.rx.w, x.txq.w}
+	x.onPool = pollingReference
+	pollingReference(x.rx.w)
+	pollingReference(x.txq.w)
 	for _, vm := range x.flowOrder {
-		pools = append(pools, x.flows[vm].w)
+		pollingReference(x.flows[vm].w)
 	}
-	for _, p := range pools {
-		p := p
-		p.idle = func(id int) { p.sim.After(p.st.PollInterval(), p.slots[id].poll) }
-	}
+}
+
+// pollingReference makes p's threads poll instead of parking: a thread
+// that finds its queue empty or gated schedules its next poll one interval
+// out with a plain After. This is the worker loop the parked pools
+// replace, kept here as the behaviour they must reproduce event for event.
+// Its polls carry no sim.Rank, so they sort by sequence number alone: the
+// order the ranks of parked chains stand in for.
+func pollingReference(p *pool) {
+	p.hold = func(id int, _ bool) { p.sim.After(p.st.PollInterval(), p.slots[id].poll) }
 }
 
 // opRun is everything observable from one run: host deliveries, wire
@@ -59,7 +65,6 @@ func runIXPOps(t testing.TB, data []byte, polling bool) opRun {
 	x.SetFlightRecorder(rec)
 	x.ConnectWire(func(p *netsim.Packet) { logf("wire %d vm %d", p.ID, p.DstVM) })
 	gate := false
-	x.ConnectHostGate(func() bool { return gate })
 	var nextID uint64
 	x.SetAdmission(func(p *netsim.Packet) (*netsim.Packet, bool) {
 		if p.ID%11 != 5 {
@@ -123,6 +128,7 @@ func runIXPOps(t testing.TB, data []byte, polling bool) opRun {
 				logErr("poll", x.SetFlowPollInterval(fuzzVMs[int(b)%3], polls[int(a)%len(polls)]))
 			case 5:
 				gate = !gate
+				x.SetHostGate(gate)
 			case 6:
 				logErr("pools", x.SetActivePools(1+int(a%NumMEPools)))
 			}
@@ -135,7 +141,7 @@ func runIXPOps(t testing.TB, data []byte, polling bool) opRun {
 		at += sim.Time(d/4%8) * strides[d%4]
 	}
 	s.RunUntil(100 * sim.Millisecond)
-	gate = false
+	x.SetHostGate(false)
 	s.RunUntil(120 * sim.Millisecond)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -177,7 +183,8 @@ func checkParkedVsPolling(t testing.TB, data []byte) (parked, polling opRun) {
 // FuzzIXPParkedVsPolling drives the parked thread pools and the polling
 // reference through the same random operations — arrival bursts on and
 // off the poll grid, thread-pool resizes, poll-interval changes, host-gate
-// toggles and pool gating — and requires identical output. Each op is five
+// toggles through SetHostGate and pool gating — and requires identical
+// output. Each op is five
 // bytes: an opcode (low three bits; bits 3-4 pick the lead), three
 // arguments, and a step to the next op whose low two bits pick the stride
 // (0 whole poll intervals, 1 dequeue cost, 2 classify cost, 3 odd) and
@@ -193,6 +200,25 @@ func FuzzIXPParkedVsPolling(f *testing.F) {
 // the polling reference's events for the same output.
 func TestParkingDropsIdlePolls(t *testing.T) {
 	ops := []byte{0, 0, 1, 1, 4, 8, 1, 2, 3, 8, 16, 2, 0, 0, 8, 24, 3, 1, 2, 4, 0, 0, 0, 0, 0}
+	parked, polling := checkParkedVsPolling(t, ops)
+	if parked.events*10 > polling.events {
+		t.Errorf("parked fired %d events, polling %d; want over 10x fewer", parked.events, polling.events)
+	}
+}
+
+// TestParkingDropsGatedPolls checks that parking removes the gated polls:
+// with the host gate closed from the start until the final reopen, bursts
+// to every flow leave its threads gated, and the parked pools fire a small
+// fraction of the polling reference's events for the same output.
+func TestParkingDropsGatedPolls(t *testing.T) {
+	ops := []byte{
+		5, 0, 0, 0, 4, // close the gate
+		0, 3, 0, 1, 8, // bursts to vms 1, 2 and 3, on and off the grid
+		0, 3, 1, 2, 7,
+		0, 3, 2, 0, 28,
+		0, 1, 0, 3, 29,
+		0, 2, 1, 1, 0,
+	}
 	parked, polling := checkParkedVsPolling(t, ops)
 	if parked.events*10 > polling.events {
 		t.Errorf("parked fired %d events, polling %d; want over 10x fewer", parked.events, polling.events)

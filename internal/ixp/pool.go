@@ -11,8 +11,8 @@ type station interface {
 	pop() *netsim.Packet
 	// PollInterval is the polling interval of an idle thread.
 	PollInterval() sim.Time
-	// gated reports whether threads must hold their next packet (the host
-	// message ring is full) and poll again instead.
+	// gated reports whether threads must hold their next packet: the host
+	// message ring is full.
 	gated() bool
 	// serviceCost is the thread occupancy of the packet just popped.
 	serviceCost() sim.Time
@@ -22,25 +22,26 @@ type station interface {
 
 // pool is the thread lifecycle shared by the classifier stage and the flow
 // queues. Slot id runs while id < threads: it pops a packet, holds it for
-// the service cost, serves it, and loops. A slot that finds its queue empty
-// parks on its poll grid instead of polling; see park.
+// the service cost, serves it, and loops. A slot that finds its queue
+// gated or empty parks on its poll grid instead of polling; see park.
 type pool struct {
 	sim     *sim.Simulator
 	st      station
 	threads int
 	slots   []slot
-	// idle runs when a live, ungated slot finds its queue empty: park, or
+	// hold runs when a live slot finds its queue gated or empty: park, or
 	// in package tests the polling reference the parked pool is checked
 	// against.
-	idle func(id int)
+	hold func(id int, gated bool)
 }
 
 // slot is one thread context. A parked slot's pending poll is the grid
 // point next, keyed (next, born, seq, rank) when exact is set and
 // otherwise as a poll scheduled at born; later polls follow every every.
+// A slot parked on the host gate has gated set.
 type slot struct {
 	alive, parked bool
-	exact         bool
+	exact, gated  bool
 	next, born    sim.Time
 	every         sim.Time
 	seq           uint64
@@ -50,9 +51,12 @@ type slot struct {
 	poll, done func()         // prebuilt callbacks
 }
 
-func newPool(s *sim.Simulator, st station) *pool {
-	p := &pool{sim: s, st: st}
-	p.idle = p.park
+func newPool(x *IXP, st station) *pool {
+	p := &pool{sim: x.sim, st: st}
+	p.hold = p.park
+	if x.onPool != nil {
+		x.onPool(p)
+	}
 	return p
 }
 
@@ -80,8 +84,8 @@ func (p *pool) setThreads(n int) {
 	}
 }
 
-// loop is one iteration of slot id: die if deallocated, hold while gated,
-// else pop and serve a packet or go idle.
+// loop is one iteration of slot id: die if deallocated, hold while gated
+// or idle, else pop and serve a packet.
 func (p *pool) loop(id int) {
 	w := &p.slots[id]
 	if id >= p.threads {
@@ -89,13 +93,12 @@ func (p *pool) loop(id int) {
 		return
 	}
 	if p.st.gated() {
-		every, now := p.st.PollInterval(), p.sim.Now()
-		p.sim.AtSeq(now+every, now, p.sim.Reserve(), p.sim.ChainRank(every), w.poll)
+		p.hold(id, true)
 		return
 	}
 	pkt := p.st.pop()
 	if pkt == nil {
-		p.idle(id)
+		p.hold(id, false)
 		return
 	}
 	w.cur = pkt
@@ -112,24 +115,39 @@ func (p *pool) finish(id int) {
 }
 
 // park takes the place of scheduling the next poll. Polls of an empty
-// queue change nothing but the poll chain itself, so the slot records the
-// chain instead: the next poll's time and the sequence number its event
-// would have taken. wake turns the chain back into an event once a poll
-// could see something.
-func (p *pool) park(id int) {
+// queue, or of a gated one, change nothing but the poll chain itself, so
+// the slot records the chain instead: the next poll's time and the
+// sequence number its event would have taken. wake turns the chain back
+// into an event once a poll could see something: an enqueue for an idle
+// slot, the gate opening for a gated one.
+func (p *pool) park(id int, gated bool) {
 	w := &p.slots[id]
 	now := p.sim.Now()
 	w.every = p.st.PollInterval()
 	w.rank = p.sim.ChainRank(w.every)
-	w.parked, w.exact = true, true
+	w.parked, w.exact, w.gated = true, true, gated
 	w.next, w.born = now+w.every, now
 	w.seq = p.sim.Reserve()
 }
 
-// wakeAll wakes every parked slot in slot order; an enqueue calls it.
+// wakeAll wakes every slot parked on an empty queue, in slot order; an
+// enqueue calls it. Slots parked on the gate stay parked: a gated thread
+// does not look at its queue.
 func (p *pool) wakeAll() {
 	for id := range p.slots {
-		p.wake(id)
+		if !p.slots[id].gated {
+			p.wake(id)
+		}
+	}
+}
+
+// wakeGated wakes every slot parked on the gate, in slot order; the gate
+// opening calls it.
+func (p *pool) wakeGated() {
+	for id := range p.slots {
+		if p.slots[id].gated {
+			p.wake(id)
+		}
 	}
 }
 
@@ -147,7 +165,7 @@ func (p *pool) wake(id int) {
 		return
 	}
 	p.settle(w)
-	w.parked = false
+	w.parked, w.gated = false, false
 	seq := w.seq
 	if !w.exact {
 		seq = p.sim.Reserve()

@@ -15,7 +15,7 @@ type FlowQueue struct {
 	vmID     int
 	capBytes int
 
-	fifo  fifo
+	fifo  netsim.FIFO
 	bytes int
 
 	w *pool // dequeue threads
@@ -35,7 +35,7 @@ type FlowQueue struct {
 
 func newFlowQueue(x *IXP, vmID, capBytes int) *FlowQueue {
 	q := &FlowQueue{x: x, vmID: vmID, capBytes: capBytes, watermarkArmed: true}
-	q.w = newPool(x.sim, q)
+	q.w = newPool(x, q)
 	return q
 }
 
@@ -43,7 +43,7 @@ func newFlowQueue(x *IXP, vmID, capBytes int) *FlowQueue {
 func (q *FlowQueue) VM() int { return q.vmID }
 
 // Len returns the number of queued packets.
-func (q *FlowQueue) Len() int { return q.fifo.len() }
+func (q *FlowQueue) Len() int { return q.fifo.Len() }
 
 // Bytes returns the current DRAM buffer occupancy in bytes.
 func (q *FlowQueue) Bytes() int { return q.bytes }
@@ -89,7 +89,7 @@ func (q *FlowQueue) enqueue(p *netsim.Packet) bool {
 		q.drops++
 		return false
 	}
-	q.fifo.push(p)
+	q.fifo.Push(p)
 	q.bytes += p.Size
 	q.enq++
 	if q.bytes > q.maxBytes {
@@ -106,7 +106,7 @@ func (q *FlowQueue) enqueue(p *netsim.Packet) bool {
 
 // pop removes the head packet, or returns nil.
 func (q *FlowQueue) pop() *netsim.Packet {
-	p := q.fifo.pop()
+	p := q.fifo.Pop()
 	if p == nil {
 		return nil
 	}
@@ -121,7 +121,7 @@ func (q *FlowQueue) pop() *netsim.Packet {
 // gated holds host-bound descriptors in DRAM while the host message ring
 // is full; the transmit queue is never gated.
 func (q *FlowQueue) gated() bool {
-	return q.vmID != -1 && q.x.hostGate != nil && q.x.hostGate()
+	return q.vmID != -1 && q.x.hostFull
 }
 
 func (q *FlowQueue) serviceCost() sim.Time {
@@ -141,34 +141,4 @@ func (q *FlowQueue) serve(p *netsim.Packet) {
 		return
 	}
 	q.x.deliverToHost(p)
-}
-
-// fifo is a packet FIFO with an O(1) pop: a head index into the backing
-// slice, compacted once the consumed prefix is at least half of it.
-type fifo struct {
-	pkts []*netsim.Packet
-	head int
-}
-
-func (f *fifo) len() int { return len(f.pkts) - f.head }
-
-// push appends p; callers bound the queue by bytes before pushing.
-func (f *fifo) push(p *netsim.Packet) { f.pkts = append(f.pkts, p) }
-
-func (f *fifo) pop() *netsim.Packet {
-	if f.head == len(f.pkts) {
-		return nil
-	}
-	p := f.pkts[f.head]
-	f.pkts[f.head] = nil
-	f.head++
-	switch {
-	case f.head == len(f.pkts):
-		f.pkts, f.head = f.pkts[:0], 0
-	case f.head >= 32 && 2*f.head >= len(f.pkts):
-		n := copy(f.pkts, f.pkts[f.head:])
-		clear(f.pkts[n:])
-		f.pkts, f.head = f.pkts[:n], 0
-	}
-	return p
 }

@@ -16,7 +16,7 @@ import (
 // queue. The stage's buffer models the Rx ring in SRAM.
 type rxStage struct {
 	x        *IXP
-	fifo     fifo
+	fifo     netsim.FIFO
 	bytes    int
 	capBytes int
 
@@ -27,7 +27,7 @@ type rxStage struct {
 
 func newRxStage(x *IXP, capBytes int) *rxStage {
 	st := &rxStage{x: x, capBytes: capBytes}
-	st.w = newPool(x.sim, st)
+	st.w = newPool(x, st)
 	return st
 }
 
@@ -37,7 +37,7 @@ func (st *rxStage) enqueue(p *netsim.Packet) bool {
 		st.drops++
 		return false
 	}
-	st.fifo.push(p)
+	st.fifo.Push(p)
 	st.bytes += p.Size
 	st.enq++
 	st.w.wakeAll()
@@ -45,7 +45,7 @@ func (st *rxStage) enqueue(p *netsim.Packet) bool {
 }
 
 func (st *rxStage) pop() *netsim.Packet {
-	p := st.fifo.pop()
+	p := st.fifo.Pop()
 	if p != nil {
 		st.bytes -= p.Size
 	}

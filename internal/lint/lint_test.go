@@ -104,3 +104,23 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		}
 	}
 }
+
+// TestLoaderTypesExternalTestAgainstTestVariant loads a fixture whose
+// external test calls a function declared in its export_test.go on a value
+// typed through a second package that imports the package under test. It
+// type-checks only if the loader resolves both paths the way the go
+// command builds the test binary.
+func TestLoaderTypesExternalTestAgainstTestVariant(t *testing.T) {
+	pkgs, err := lint.NewLoader().Load("./testdata/src/xtestvariant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.ImportPath)
+	}
+	const path = "repro/internal/lint/testdata/src/xtestvariant"
+	if len(paths) != 2 || paths[0] != path || paths[1] != path+"_test" {
+		t.Fatalf("loaded %v, want the package and its external test", paths)
+	}
+}

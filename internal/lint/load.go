@@ -18,7 +18,9 @@ import (
 
 // A Package is one loaded, parsed, and type-checked compilation unit. The
 // in-package test files are folded into the same unit; external _test
-// packages load as their own unit with an ImportPath suffixed "_test".
+// packages load as their own unit with an ImportPath suffixed "_test",
+// type-checked against that unit as the go command builds the test binary
+// (see testVariants).
 type Package struct {
 	ImportPath string
 	Dir        string
@@ -36,6 +38,7 @@ type listedPackage struct {
 	CgoFiles     []string
 	TestGoFiles  []string
 	XTestGoFiles []string
+	ForTest      string
 	DepOnly      bool
 	Incomplete   bool
 	Error        *struct{ Err string }
@@ -71,7 +74,7 @@ func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Load resolves patterns (e.g. "./...") to packages and type-checks them.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	listed, err := goList(patterns)
+	listed, err := goList(nil, patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -87,13 +90,19 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if l.IncludeTests {
 			files = append(files, lp.TestGoFiles...)
 		}
-		p, err := l.check(lp.ImportPath, lp.Dir, files)
+		p, err := l.check(l.imp, lp.ImportPath, lp.Dir, files)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, p)
 		if l.IncludeTests && len(lp.XTestGoFiles) > 0 {
-			xp, err := l.check(lp.ImportPath+"_test", lp.Dir, lp.XTestGoFiles)
+			imp := l.imp
+			if len(lp.TestGoFiles) > 0 {
+				if imp, err = l.testVariants(lp.ImportPath, p.Pkg); err != nil {
+					return nil, err
+				}
+			}
+			xp, err := l.check(imp, lp.ImportPath+"_test", lp.Dir, lp.XTestGoFiles)
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +113,49 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-func (l *Loader) check(importPath, dir string, filenames []string) (*Package, error) {
+// testVariants returns the importer an external test of path sees when
+// path has in-package test files: path resolves to under, the package with
+// those files (so names an export_test.go declares resolve), and every
+// package the go command recompiles against that variant for the test
+// binary is type-checked again against it, so that a type reached through
+// one of them is the type the test names directly. Other imports go to the
+// shared importer.
+func (l *Loader) testVariants(path string, under *types.Package) (types.Importer, error) {
+	listed, err := goList([]string{"-deps", "-test"}, path)
+	if err != nil {
+		return nil, err
+	}
+	imp := variantImporter{pkgs: map[string]*types.Package{path: under}, next: l.imp}
+	// -deps lists every package after its dependencies.
+	for _, lp := range listed {
+		plain, _, recompiled := strings.Cut(lp.ImportPath, " [")
+		if !recompiled || lp.ForTest != path || plain == path || plain == path+"_test" {
+			continue
+		}
+		p, err := l.check(imp, plain, lp.Dir, append(lp.GoFiles, lp.CgoFiles...))
+		if err != nil {
+			return nil, err
+		}
+		imp.pkgs[plain] = p.Pkg
+	}
+	return imp, nil
+}
+
+// variantImporter resolves the import paths in pkgs to their packages and
+// every other path through next.
+type variantImporter struct {
+	pkgs map[string]*types.Package
+	next types.Importer
+}
+
+func (v variantImporter) Import(path string) (*types.Package, error) {
+	if p, ok := v.pkgs[path]; ok {
+		return p, nil
+	}
+	return v.next.Import(path)
+}
+
+func (l *Loader) check(imp types.Importer, importPath, dir string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -114,7 +165,7 @@ func (l *Loader) check(importPath, dir string, filenames []string) (*Package, er
 		files = append(files, f)
 	}
 	info := newTypesInfo()
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(importPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)
@@ -133,8 +184,10 @@ func newTypesInfo() *types.Info {
 	}
 }
 
-func goList(patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json", "--"}, patterns...)
+// goList runs `go list -json` with the given flags over patterns.
+func goList(flags []string, patterns ...string) ([]listedPackage, error) {
+	args := append(append([]string{"list", "-json"}, flags...), "--")
+	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	var out, errb bytes.Buffer
 	cmd.Stdout = &out

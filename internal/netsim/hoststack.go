@@ -62,14 +62,18 @@ type HostStack struct {
 	bounded  map[int]BoundedHandler
 	onTxIXP  func(*Packet) // IXP-side transmit entry point
 
-	rxBacklog []*Packet // packets delivered by PCIe, awaiting Dom0 service
-	rxPending bool      // a Dom0 rx batch task is queued
+	rxBacklog FIFO // packets delivered by PCIe, awaiting Dom0 service
+	rxPending bool // a Dom0 rx batch task is queued
 
-	ringCap    int      // max rxBacklog length before the ring is "full"
+	ringCap    int      // max ring occupancy before the ring is "full"
 	retryDelay sim.Time // re-poll delay when a bounded handler rejects
 
-	staging    []*Packet // packets awaiting the next moderated interrupt
-	interrupts uint64    // interrupts raised (moderation enabled only)
+	staging    FIFO   // packets awaiting the next moderated interrupt
+	interrupts uint64 // interrupts raised (moderation enabled only)
+
+	// full is the ring-full state last pushed to gate; see pushGate.
+	full bool
+	gate func(full bool)
 
 	pollStop func()
 
@@ -101,12 +105,13 @@ func NewHostStack(s *sim.Simulator, dom0 *xen.Domain, txChan *pcie.Channel, cfg 
 // serviceInterrupt is the moderated interrupt handler: it moves staged
 // packets into the message ring and kicks the Dom0 receive path.
 func (h *HostStack) serviceInterrupt() {
-	if len(h.staging) == 0 {
+	if h.staging.Len() == 0 {
 		return // coalesced away: nothing pending, no interrupt raised
 	}
 	h.interrupts++
-	h.rxBacklog = append(h.rxBacklog, h.staging...)
-	h.staging = h.staging[:0]
+	for p := h.staging.Pop(); p != nil; p = h.staging.Pop() {
+		h.rxBacklog.Push(p)
+	}
 	h.scheduleRxBatch()
 }
 
@@ -114,20 +119,46 @@ func (h *HostStack) serviceInterrupt() {
 func (h *HostStack) Interrupts() uint64 { return h.interrupts }
 
 // Staged returns the packets awaiting the next moderated interrupt.
-func (h *HostStack) Staged() int { return len(h.staging) }
+func (h *HostStack) Staged() int { return h.staging.Len() }
 
-// SetRingCapacity bounds the host message ring (packets). The IXP side
-// consults RingFull to apply backpressure.
+// SetRingCapacity bounds the host message ring (packets); the IXP gate
+// sees the new bound at once.
 func (h *HostStack) SetRingCapacity(n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("netsim: ring capacity %d", n))
 	}
 	h.ringCap = n
+	h.pushGate()
 }
 
 // RingFull reports whether the host message ring is at capacity (staged
 // packets awaiting a moderated interrupt occupy ring slots too).
-func (h *HostStack) RingFull() bool { return len(h.rxBacklog)+len(h.staging) >= h.ringCap }
+func (h *HostStack) RingFull() bool { return h.rxBacklog.Len()+h.staging.Len() >= h.ringCap }
+
+// ConnectIXPGate installs the IXP's host-gate input, which starts open.
+// The stack calls fn with every change of RingFull, in the event that
+// makes it, and never with an unchanged value: the IXP parks gated threads
+// until the gate opens, so a missed change would strand them.
+func (h *HostStack) ConnectIXPGate(fn func(full bool)) {
+	h.gate = fn
+	if h.full {
+		fn(true)
+	}
+}
+
+// pushGate recomputes RingFull and pushes a change to the gate. It runs
+// wherever the ring's occupancy or capacity changes; moving staged packets
+// into the ring leaves the occupancy as it was.
+func (h *HostStack) pushGate() {
+	full := h.RingFull()
+	if full == h.full {
+		return
+	}
+	h.full = full
+	if h.gate != nil {
+		h.gate(full)
+	}
+}
 
 // RegisterBounded installs a backpressure-capable receive handler for a
 // guest domain. Rejected packets stay at the head of the ring and are
@@ -186,10 +217,12 @@ func (h *HostStack) DeliverFromIXP(p *Packet) {
 		panic(fmt.Sprintf("netsim: invalid packet: %v", err))
 	}
 	if h.cfg.IntrPeriod > 0 {
-		h.staging = append(h.staging, p)
+		h.staging.Push(p)
+		h.pushGate()
 		return
 	}
-	h.rxBacklog = append(h.rxBacklog, p)
+	h.rxBacklog.Push(p)
+	h.pushGate()
 	h.scheduleRxBatch()
 }
 
@@ -197,19 +230,16 @@ func (h *HostStack) DeliverFromIXP(p *Packet) {
 // bounded handler rejecting a packet stalls the ring head until the retry
 // delay elapses (or new traffic re-arms delivery).
 func (h *HostStack) scheduleRxBatch() {
-	if h.rxPending || len(h.rxBacklog) == 0 {
+	if h.rxPending || h.rxBacklog.Len() == 0 {
 		return
 	}
 	h.rxPending = true
-	n := len(h.rxBacklog)
-	if n > h.cfg.RxBatch {
-		n = h.cfg.RxBatch
-	}
+	n := min(h.rxBacklog.Len(), h.cfg.RxBatch)
 	cost := h.cfg.RxCostPerPacket * sim.Time(n)
 	h.dom0.SubmitFunc(cost, "net-rx", func() {
 		stalled := false
-		for delivered := 0; delivered < n && len(h.rxBacklog) > 0; delivered++ {
-			p := h.rxBacklog[0]
+		for delivered := 0; delivered < n && h.rxBacklog.Len() > 0; delivered++ {
+			p := h.rxBacklog.Peek()
 			if bh, ok := h.bounded[p.DstVM]; ok {
 				if !bh(p) {
 					h.rxRetries++
@@ -223,9 +253,10 @@ func (h *HostStack) scheduleRxBatch() {
 			} else {
 				h.rxDropNoHandler++
 			}
-			h.rxBacklog = h.rxBacklog[1:]
+			h.rxBacklog.Pop()
 		}
 		h.rxPending = false
+		h.pushGate()
 		if stalled {
 			h.sim.After(h.retryDelay, h.scheduleRxBatch)
 			return
@@ -260,4 +291,4 @@ func (h *HostStack) TxSent() uint64 { return h.txCount }
 func (h *HostStack) RxDropped() uint64 { return h.rxDropNoHandler }
 
 // RxBacklog returns packets waiting for Dom0 receive processing.
-func (h *HostStack) RxBacklog() int { return len(h.rxBacklog) }
+func (h *HostStack) RxBacklog() int { return h.rxBacklog.Len() }

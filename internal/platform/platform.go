@@ -284,7 +284,7 @@ func New(cfg Config) *Platform {
 	x.SetTracer(tracer)
 	x.SetFlightRecorder(cfg.Flight)
 	host.ConnectIXPTransmit(x.TransmitFromHost)
-	x.ConnectHostGate(host.RingFull)
+	host.ConnectIXPGate(x.SetHostGate)
 
 	// Coordination plane: mailbox in PCI config space, controller in Dom0.
 	mb := pcie.NewMailbox(s, cfg.CoordLatency)
