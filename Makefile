@@ -47,14 +47,16 @@ sweep:
 bench:
 	$(GO) run ./cmd/reprobench -exp sweep-bench -json /tmp/BENCH_sweep.json -baseline BENCH_sweep.json
 
-# fuzz gives the reliability-protocol, fault-plan-generator, event-queue and
-# parked-vs-polling IXP fuzzers a short budget each; CI and local smoke runs
-# share the checked-in corpus under testdata.
+# fuzz gives the reliability-protocol, fault-plan-generator, event-queue,
+# parked-vs-polling IXP and send-time-vs-event scalability fuzzers a short
+# budget each; CI and local smoke runs share the checked-in corpus under
+# testdata.
 fuzz:
 	$(GO) test -run FuzzReliableEndpoint -fuzz FuzzReliableEndpoint -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFaultPlanGen -fuzz FuzzFaultPlanGen -fuzztime 30s ./internal/chaos/
 	$(GO) test -run FuzzEventQueue -fuzz FuzzEventQueue -fuzztime 30s ./internal/sim/
 	$(GO) test -run FuzzIXPParkedVsPolling -fuzz FuzzIXPParkedVsPolling -fuzztime 30s ./internal/ixp/
+	$(GO) test -run FuzzScalabilityPoint -fuzz FuzzScalabilityPoint -fuzztime 30s .
 
 # chaos runs the fault-injection suites: the root RUBiS chaos tests plus
 # the coordination-plane protocol tests under the race detector.

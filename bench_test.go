@@ -138,17 +138,24 @@ func BenchmarkAblationTriggerThreshold(b *testing.B) {
 }
 
 // BenchmarkCoordScalability measures the coordination plane itself: star
-// (central controller) vs direct (distributed) topologies.
+// (central controller) vs direct (distributed) topologies, below the hub's
+// saturation (8 and 64 islands) and past it (256).
 func BenchmarkCoordScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts := RunCoordScalability(ScalabilityConfig{
 			Seed:     int64(i + 1),
-			Islands:  []int{8, 64},
+			Islands:  []int{8, 64, 256},
 			Duration: 2 * time.Second,
 		})
 		for _, p := range pts {
-			if p.Islands == 64 && p.Topology == "star" {
+			if p.Topology != "star" {
+				continue
+			}
+			switch p.Islands {
+			case 64:
 				b.ReportMetric(p.P99LatencyUs, "star64-p99-us")
+			case 256:
+				b.ReportMetric(p.P99LatencyUs, "star256-p99-us")
 			}
 		}
 	}

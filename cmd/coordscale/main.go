@@ -5,17 +5,19 @@
 //
 // Usage:
 //
-//	coordscale [-rate 200] [-hop 150us] [-hub 5us] [-duration 10s] [-seed N]
+//	coordscale [-rate 200] [-hop 150us] [-hub 50us] [-duration 10s] [-seed N]
 //	           [-workers N] [-reps N]
 //
 // Points fan out across a worker pool (-workers, default GOMAXPROCS) with
 // results identical for any worker count; -reps repeats each point on
-// derived seed substreams and reports mean ± 95% CI.
+// derived seed substreams and reports mean ± 95% CI. A flag value the
+// study cannot run on (a negative latency, say) exits with status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro"
@@ -31,7 +33,7 @@ func main() {
 	reps := flag.Int("reps", 1, "repetitions per point (mean ± 95% CI)")
 	flag.Parse()
 
-	points := repro.RunCoordScalability(repro.ScalabilityConfig{
+	cfg := repro.ScalabilityConfig{
 		Seed:          *seed,
 		RatePerIsland: *rate,
 		HopLatency:    *hop,
@@ -39,6 +41,10 @@ func main() {
 		Duration:      *duration,
 		Workers:       *workers,
 		Reps:          *reps,
-	})
-	fmt.Print(repro.FormatScalability(points))
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "coordscale: %v\n", err)
+		os.Exit(2)
+	}
+	fmt.Print(repro.FormatScalability(repro.RunCoordScalability(cfg)))
 }

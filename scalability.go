@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/sim"
@@ -56,6 +57,53 @@ func (c *ScalabilityConfig) applyDefaults() {
 	}
 }
 
+const (
+	// scalabilityDrain is how long after the window in-flight messages may
+	// still land and count as routed.
+	scalabilityDrain = 10 * time.Second
+	// maxScalabilitySpan bounds every time a ScalabilityConfig sets, so the
+	// sums of times a point computes stay far from int64 overflow.
+	maxScalabilitySpan = 365 * 24 * time.Hour
+)
+
+// Validate reports the first field, after defaults, that no point can run
+// on: an island count below 1 or given twice, a rate that is not finite
+// or whose mean interval between an island's messages is under 1ns (the
+// clock would never advance) or over a year, or a Duration, HopLatency or
+// HubCost that is negative or over a year.
+func (c ScalabilityConfig) Validate() error {
+	c.applyDefaults()
+	seen := make(map[int]bool, len(c.Islands))
+	for _, n := range c.Islands {
+		if n < 1 {
+			return fmt.Errorf("repro: ScalabilityConfig.Islands has island count %d, want at least 1", n)
+		}
+		if seen[n] {
+			return fmt.Errorf("repro: ScalabilityConfig.Islands lists island count %d twice", n)
+		}
+		seen[n] = true
+	}
+	r := c.RatePerIsland
+	if math.IsNaN(r) || math.IsInf(r, 0) {
+		return fmt.Errorf("repro: ScalabilityConfig.RatePerIsland %g is not finite", r)
+	}
+	if iv := float64(time.Second) / r; iv < 1 || iv > float64(maxScalabilitySpan) {
+		return fmt.Errorf("repro: ScalabilityConfig.RatePerIsland %g/s has a mean interval of %gns, want 1ns to %v", r, iv, maxScalabilitySpan)
+	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{{"Duration", c.Duration}, {"HopLatency", c.HopLatency}, {"HubCost", c.HubCost}} {
+		if f.d < 0 {
+			return fmt.Errorf("repro: ScalabilityConfig.%s %v is negative", f.name, f.d)
+		}
+		if f.d > maxScalabilitySpan {
+			return fmt.Errorf("repro: ScalabilityConfig.%s %v exceeds the limit of %v", f.name, f.d, maxScalabilitySpan)
+		}
+	}
+	return nil
+}
+
 // ScalabilityPoint is one (topology, island count) measurement. With
 // repetitions, the float metrics are means across repetitions and the CI
 // fields carry 95% confidence half-widths (zero for a single repetition).
@@ -81,9 +129,13 @@ type ScalabilityPoint struct {
 // call for distributed coordination on large many-cores.
 //
 // Points (and repetitions) fan out across the sweep worker pool; results
-// are deterministic and identical for any Workers value.
+// are deterministic and identical for any Workers value. It panics, before
+// any point runs, if cfg does not pass Validate.
 func RunCoordScalability(cfg ScalabilityConfig) []ScalabilityPoint {
 	cfg.applyDefaults()
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("repro: RunCoordScalability given an invalid config (%v)", err))
+	}
 
 	type pointCfg struct {
 		Topology      string  `json:"topology"`
@@ -117,9 +169,10 @@ func RunCoordScalability(cfg ScalabilityConfig) []ScalabilityPoint {
 		return runScalabilityPoint(trialCfg, pc.Islands, pc.Topology), nil
 	}, sweep.Options{Workers: cfg.Workers, Reps: cfg.Reps, Seed: cfg.Seed})
 	if err != nil {
-		// Points are generated above with unique names and marshalable
-		// configs, and the runner never errors, so this is unreachable
-		// short of an engine bug.
+		// Validate rejects repeated island counts and non-finite rates, so
+		// the points above have unique names and marshalable configs, and
+		// the runner never errors: this is unreachable short of an engine
+		// bug.
 		panic(fmt.Sprintf("repro: scalability sweep failed: %v", err))
 	}
 
@@ -167,52 +220,51 @@ func runScalabilityPoint(cfg ScalabilityConfig, islands int, topo string) Scalab
 	hop := toSim(cfg.HopLatency)
 	hubCost := toSim(cfg.HubCost)
 	duration := toSim(cfg.Duration)
+	deadline := duration + toSim(scalabilityDrain)
+	star := topo == "star"
 
 	var lat stats.Sample
 	var sent, routed uint64
 
-	// deliver records end-to-end latency at the destination island.
-	deliver := func(sentAt sim.Time) {
-		routed++
-		lat.Add((s.Now() - sentAt).Microseconds())
-	}
-
-	// In the star topology, a central hub serializes routing: each message
-	// occupies it for hubCost before the second hop begins.
+	// Every hop takes the same time, so messages reach the hub in the order
+	// they were sent (same-instant sends in the order their emits fired).
+	// The hub is a FIFO server: it starts each message when it arrives or
+	// when the previous one is done, whichever is later. A message's
+	// delivery time is therefore fixed when it is sent, and deliveries come
+	// in send order, so no message needs an event and lat gets its samples
+	// in delivery order. A message counts as routed if it lands within the
+	// drain after the window.
 	var hubBusy sim.Time
-	routeViaHub := func(sentAt sim.Time) {
-		start := s.Now()
-		if hubBusy > start {
-			start = hubBusy
-		}
-		hubBusy = start + hubCost
-		s.At(hubBusy, func() {
-			s.After(hop, func() { deliver(sentAt) })
-		})
-	}
-
-	// Each island emits Poisson coordination traffic to random peers.
 	rng := s.Rand().Fork()
 	interval := sim.Time(float64(sim.Second) / cfg.RatePerIsland)
-	for i := 0; i < islands; i++ {
-		var emit func()
-		emit = func() {
-			if s.Now() >= duration {
-				return
+	// Each island emits Poisson coordination traffic to random peers. The
+	// emitter keeps no per-island state, so one callback serves them all.
+	var emit func()
+	emit = func() {
+		at := s.Now()
+		if at >= duration {
+			return
+		}
+		sent++
+		done := at + hop
+		if star {
+			// Once the hub is busy past the deadline it delivers nothing
+			// more; holding hubBusy there keeps it from overflowing.
+			if hubBusy <= deadline {
+				hubBusy = max(done, hubBusy) + hubCost
 			}
-			sent++
-			at := s.Now()
-			switch topo {
-			case "star":
-				s.After(hop, func() { routeViaHub(at) })
-			default: // direct
-				s.After(hop, func() { deliver(at) })
-			}
-			s.After(rng.ExpTime(interval), emit)
+			done = hubBusy + hop
+		}
+		if done <= deadline {
+			routed++
+			lat.Add((done - at).Microseconds())
 		}
 		s.After(rng.ExpTime(interval), emit)
 	}
-	s.RunUntil(duration + 10*sim.Second) // drain in-flight messages
+	for i := 0; i < islands; i++ {
+		s.After(rng.ExpTime(interval), emit)
+	}
+	s.RunUntil(duration)
 
 	secs := duration.Seconds()
 	return ScalabilityPoint{
