@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro"
@@ -33,6 +34,10 @@ func main() {
 		CoordLatency: *latency,
 		Sessions:     *sessions,
 		Mix:          *mix,
+	}
+	if err := cfg.Scheme.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rubisim: %v\n", err)
+		os.Exit(2)
 	}
 	r := repro.RunRubis(cfg, *coord)
 

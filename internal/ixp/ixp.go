@@ -26,8 +26,8 @@
 // empty would poll again every interval, and each of those polls would
 // find the queue empty until the next enqueue, changing nothing but the
 // poll chain. So the thread records the chain instead — its next grid
-// point, the interval, the sequence number the next poll event would have
-// taken — and schedules nothing. An enqueue wakes every parked thread of
+// point, the interval, the instant that poll would have been scheduled —
+// and schedules nothing. An enqueue wakes every parked thread of
 // the queue at its first grid point not yet passed: the packet is picked
 // up at exactly the instant the polling thread would have found it, so
 // the polling interval remains the modeled detection latency and a Tune
@@ -37,9 +37,9 @@
 // parks the same way, on the host gate: enqueues leave it parked, and the
 // gate opening wakes it. The gate is state the ring's owner pushes with
 // SetHostGate on every change; a missed push would strand gated threads.
-// Wakes carry the key of the poll they stand for (see
-// sim.Simulator.AtSeq and sim.Rank), so every event fires in the order
-// the polling loop gives.
+// Wakes carry the key of the poll they stand for (see pool.key and
+// sim.Simulator.AtKey), so every event fires in the order the polling
+// loop gives.
 package ixp
 
 import (
@@ -163,9 +163,7 @@ type IXP struct {
 
 	txThreads int
 
-	// onPool, when set, is applied to every thread pool as it is built:
-	// package tests install the polling reference with it.
-	onPool func(*pool)
+	pools uint32 // thread pools built so far (see pool.key)
 
 	rxSeen    uint64
 	rxDropped uint64

@@ -11,27 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// usePolling switches every thread pool of x, including those of flows
-// registered later, to the polling reference.
-func usePolling(x *IXP) {
-	x.onPool = pollingReference
-	pollingReference(x.rx.w)
-	pollingReference(x.txq.w)
-	for _, vm := range x.flowOrder {
-		pollingReference(x.flows[vm].w)
-	}
-}
-
-// pollingReference makes p's threads poll instead of parking: a thread
-// that finds its queue empty or gated schedules its next poll one interval
-// out with a plain After. This is the worker loop the parked pools
-// replace, kept here as the behaviour they must reproduce event for event.
-// Its polls carry no sim.Rank, so they sort by sequence number alone: the
-// order the ranks of parked chains stand in for.
-func pollingReference(p *pool) {
-	p.hold = func(id int, _ bool) { p.sim.After(p.st.PollInterval(), p.slots[id].poll) }
-}
-
 // opRun is everything observable from one run: host deliveries, wire
 // output, watermark crossings, operation errors and final counters, one
 // line each, plus the flight log and the number of events fired.
@@ -48,6 +27,10 @@ var fuzzVMs = []int{1, 2, 3, 9}
 // the operations encoded in data (see FuzzIXPParkedVsPolling).
 func runIXPOps(t testing.TB, data []byte, polling bool) opRun {
 	const maxOps = 256
+	if polling {
+		pollingPools.Store(true)
+		defer pollingPools.Store(false)
+	}
 	s := sim.New(7)
 	var out opRun
 	logf := func(format string, args ...interface{}) {
@@ -78,20 +61,15 @@ func runIXPOps(t testing.TB, data []byte, polling bool) opRun {
 		vm := vm
 		q.SetHighWatermark(6<<10, func(b int) { logf("watermark vm %d at %d", vm, b) })
 	}
-	if polling {
-		usePolling(x)
-	}
 
 	cfg := x.Config()
 	// Op times advance by whole poll intervals (landing on the grid of
 	// every thread parked at a multiple of it), by service costs, or by an
 	// unrelated odd stride.
 	strides := []sim.Time{cfg.PollInterval, cfg.DequeueCost, cfg.ClassifyCost, 997}
-	// An op is scheduled from time zero, or lead before its time so that it
-	// sorts after the polls it ties with. No op is scheduled exactly one
-	// poll interval ahead: the order against such an event is the one a
-	// parked chain cannot reproduce (see sim.Rank).
-	leads := []sim.Time{0, 300, sim.Microsecond, 3 * sim.Microsecond}
+	// An op is scheduled from time zero, or lead before its time, so that it
+	// ties on born with the polls scheduled at that instant.
+	leads := []sim.Time{0, 300, sim.Microsecond, 3 * sim.Microsecond, cfg.PollInterval}
 	sizes := []int{64, 200, 576, 1500}
 	polls := []sim.Time{0, 5 * sim.Microsecond, 25 * sim.Microsecond, 40 * sim.Microsecond,
 		50 * sim.Microsecond, 64 * sim.Microsecond, 100 * sim.Microsecond}
@@ -133,7 +111,7 @@ func runIXPOps(t testing.TB, data []byte, polling bool) opRun {
 				logErr("pools", x.SetActivePools(1+int(a%NumMEPools)))
 			}
 		}
-		if lead := leads[op/8%4]; lead > 0 && lead <= at {
+		if lead := leads[int(op/8)%len(leads)]; lead > 0 && lead <= at {
 			s.At(at-lead, func() { s.After(lead, run) })
 		} else {
 			s.At(at, run)
@@ -184,11 +162,11 @@ func checkParkedVsPolling(t testing.TB, data []byte) (parked, polling opRun) {
 // reference through the same random operations — arrival bursts on and
 // off the poll grid, thread-pool resizes, poll-interval changes, host-gate
 // toggles through SetHostGate and pool gating — and requires identical
-// output. Each op is five
-// bytes: an opcode (low three bits; bits 3-4 pick the lead), three
-// arguments, and a step to the next op whose low two bits pick the stride
-// (0 whole poll intervals, 1 dequeue cost, 2 classify cost, 3 odd) and
-// bits 2-4 the stride count. The seed corpus is in testdata/fuzz.
+// output. Each op is five bytes: an opcode (low three bits; the rest,
+// modulo the number of leads, picks the lead), three arguments, and a
+// step to the next op whose low two bits pick the stride (0 whole poll
+// intervals, 1 dequeue cost, 2 classify cost, 3 odd) and bits 2-4 the
+// stride count. The seed corpus is in testdata/fuzz.
 func FuzzIXPParkedVsPolling(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkParkedVsPolling(t, data)

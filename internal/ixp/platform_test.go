@@ -27,10 +27,10 @@ func figure7Run(t *testing.T, polling bool) (lines []string, log []byte, fired u
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := platform.New(platform.Config{Seed: 3, Flight: rec})
 	if polling {
-		ixp.UsePolling(p.IXP)
+		ixp.PollForTest(t)
 	}
+	p := platform.New(platform.Config{Seed: 3, Flight: rec})
 	logf := func(format string, args ...interface{}) {
 		lines = append(lines, fmt.Sprintf("%d ", p.Sim.Now())+fmt.Sprintf(format, args...))
 	}

@@ -27,37 +27,43 @@ type station interface {
 type pool struct {
 	sim     *sim.Simulator
 	st      station
+	id      uint32 // creation index among the IXP's pools (see key)
 	threads int
 	slots   []slot
 	// hold runs when a live slot finds its queue gated or empty: park, or
-	// in package tests the polling reference the parked pool is checked
+	// in tests repoll, the polling reference the parked pool is checked
 	// against.
 	hold func(id int, gated bool)
 }
 
 // slot is one thread context. A parked slot's pending poll is the grid
-// point next, keyed (next, born, seq, rank) when exact is set and
-// otherwise as a poll scheduled at born; later polls follow every every.
-// A slot parked on the host gate has gated set.
+// point next, born at born (see key); later polls follow every every. A
+// slot parked on the host gate has gated set.
 type slot struct {
-	alive, parked bool
-	exact, gated  bool
-	next, born    sim.Time
-	every         sim.Time
-	seq           uint64
-	rank          *sim.Rank
+	alive, parked, gated bool
+	next, born, every    sim.Time
 
 	cur        *netsim.Packet // packet in service
 	poll, done func()         // prebuilt callbacks
 }
 
 func newPool(x *IXP, st station) *pool {
-	p := &pool{sim: x.sim, st: st}
+	p := &pool{sim: x.sim, st: st, id: x.pools}
+	x.pools++
 	p.hold = p.park
-	if x.onPool != nil {
-		x.onPool(p)
+	if pollingPools.Load() {
+		p.hold = p.repoll
 	}
 	return p
+}
+
+// key is the tie key of slot id's polls: polls at the same instant, born
+// at the same instant, run in pool creation order, then slot order, after
+// the ordinary events born then. That order is the model's semantics, and
+// it is a function of the pools alone, so a poll woken from a parked slot
+// sorts exactly where the poll it stands for would have.
+func (p *pool) key(id int) uint32 {
+	return 1 + (p.id<<16 | uint32(id))
 }
 
 // setThreads resizes the pool. Growing spawns a loop for every dead slot
@@ -117,17 +123,15 @@ func (p *pool) finish(id int) {
 // park takes the place of scheduling the next poll. Polls of an empty
 // queue, or of a gated one, change nothing but the poll chain itself, so
 // the slot records the chain instead: the next poll's time and the
-// sequence number its event would have taken. wake turns the chain back
-// into an event once a poll could see something: an enqueue for an idle
-// slot, the gate opening for a gated one.
+// instant it would have been scheduled at. wake turns the chain back into
+// an event once a poll could see something: an enqueue for an idle slot,
+// the gate opening for a gated one.
 func (p *pool) park(id int, gated bool) {
 	w := &p.slots[id]
 	now := p.sim.Now()
 	w.every = p.st.PollInterval()
-	w.rank = p.sim.ChainRank(w.every)
-	w.parked, w.exact, w.gated = true, true, gated
+	w.parked, w.gated = true, gated
 	w.next, w.born = now+w.every, now
-	w.seq = p.sim.Reserve()
 }
 
 // wakeAll wakes every slot parked on an empty queue, in slot order; an
@@ -152,25 +156,19 @@ func (p *pool) wakeGated() {
 }
 
 // wake schedules parked slot id's poll at the first grid point not yet
-// passed. At the grid point the slot parked for, the poll gets the
-// reserved key and is the very event the polling loop would have
-// scheduled. At a later point g it is keyed as born at g-every, the
-// instant the previous poll of the chain would have run, so it sorts
-// before every event scheduled after that instant and after every event
-// scheduled before it; the chain's rank orders it among the polls
-// scheduled at that instant (see sim.Rank).
+// passed, keyed as born one period earlier, the instant the previous poll
+// of the chain would have run. It sorts after every event scheduled before
+// that instant, before every event scheduled after it, and among the
+// events born then by the slot's key: where the poll it stands for would
+// have been.
 func (p *pool) wake(id int) {
 	w := &p.slots[id]
 	if !w.parked {
 		return
 	}
-	p.settle(w)
+	p.settle(id)
 	w.parked, w.gated = false, false
-	seq := w.seq
-	if !w.exact {
-		seq = p.sim.Reserve()
-	}
-	p.sim.AtSeq(w.next, w.born, seq, w.rank, w.poll)
+	p.sim.AtKey(w.next, w.born, p.key(id), w.poll)
 }
 
 // rebase switches every parked slot to a new poll interval the way a
@@ -179,23 +177,17 @@ func (p *pool) wake(id int) {
 func (p *pool) rebase(every sim.Time) {
 	for id := range p.slots {
 		if w := &p.slots[id]; w.parked {
-			p.settle(w)
+			p.settle(id)
 			w.every = every
 		}
 	}
 }
 
-// settle advances a parked slot's grid to its first point not yet passed.
-// A later point's poll is keyed with a fresh sequence number when woken, so
-// among polls and events born at the same instant it counts as not passed.
-// Past a point whose delay differs from the period, the chain continues
-// under a new rank rooted at that point, as ChainRank would make it there.
-func (p *pool) settle(w *slot) {
-	if !p.passed(w) {
+// settle advances parked slot id's grid to its first point not yet passed.
+func (p *pool) settle(id int) {
+	w := &p.slots[id]
+	if !p.sim.Passed(w.next, w.born, p.key(id)) {
 		return
-	}
-	if w.next-w.born != w.every {
-		w.rank = sim.RootRank(w.next, w.born, p.seq(w), w.rank, w.every)
 	}
 	now := p.sim.Now()
 	k := sim.Time(1)
@@ -204,22 +196,8 @@ func (p *pool) settle(w *slot) {
 	}
 	w.next += k * w.every
 	w.born = w.next - w.every
-	w.exact = false
-	if p.passed(w) {
+	if p.sim.Passed(w.next, w.born, p.key(id)) {
 		w.next += w.every
 		w.born += w.every
 	}
-}
-
-func (p *pool) passed(w *slot) bool {
-	return p.sim.Passed(w.next, w.born, p.seq(w), w.rank)
-}
-
-// seq is the sequence number of a parked slot's pending poll; one not yet
-// reserved sorts after every number allocated so far.
-func (p *pool) seq(w *slot) uint64 {
-	if w.exact {
-		return w.seq
-	}
-	return ^uint64(0)
 }

@@ -1,7 +1,7 @@
 package sim
 
 // Event is a handle to a scheduled callback, returned by Simulator.At,
-// After and AtSeq. It is a small value: copy it freely. The zero Event
+// After and AtKey. It is a small value: copy it freely. The zero Event
 // refers to nothing.
 //
 // A handle names a slot of the simulator's event slab and the generation
@@ -37,14 +37,14 @@ func (e Event) Cancel() {
 }
 
 // slot is one event's storage in the slab. Cancel clears fn, which marks
-// the slot cancelled; the slot keeps its key (born and rank) until its
-// queue entry is popped, because the entry still sorts by it.
+// the slot cancelled; the slot keeps its born and key until its queue
+// entry is popped, because the entry still sorts by them.
 type slot struct {
 	fn   func()
-	rank *Rank // poll-chain position, nil for ordinary events
-	born Time  // instant the event was scheduled at (see tieKey)
+	born Time // instant the event counts as scheduled at (see tieKey)
 	gen  uint32
 	next uint32 // 1 + the next free slot, while on the free list
+	key  uint32 // tie key, 0 for ordinary events (see tieKey)
 }
 
 // The slab is a list of fixed-size pages, so a slot never moves and a
@@ -76,7 +76,7 @@ func (s *Simulator) alloc() uint32 {
 
 // release puts slot i, whose queue entry has been popped, on the free list.
 func (s *Simulator) release(i uint32, sl *slot) {
-	sl.fn, sl.rank = nil, nil
+	sl.fn = nil
 	sl.next = s.free
 	s.free = i + 1
 }
@@ -90,43 +90,39 @@ type entry struct {
 	slot uint32
 }
 
-// tieKey orders events at the same instant: by born, then, between two
-// poll-chain events, by Rank, then by seq.
+// tieKey orders events at the same instant, lexicographically: by born,
+// then key, then seq.
 //
 // For events scheduled with At, born is the clock at scheduling time and
-// never decreases as seq grows, so the born component changes nothing: the
-// order is plain (when, seq), FIFO among same-instant events. It matters
-// only for AtSeq events, whose born may lie in the past: such an event
-// sorts among same-instant events as if it had been scheduled at born,
-// after every event scheduled before that instant and before every event
-// scheduled after it.
+// never decreases as seq grows, and key is 0, so the order is plain
+// (when, seq): FIFO among same-instant events. born and key matter only
+// for AtKey events. An event whose born lies in the past sorts among
+// same-instant events as if it had been scheduled at born: after every
+// event scheduled before that instant and before every event scheduled
+// after it. Among events born at the same instant, a positive key sorts
+// after the ordinary events and before larger keys, whatever the order
+// the events were scheduled in; that is what makes the order of
+// same-instant polls a function of who polls, not of the run's history.
 type tieKey struct {
 	born Time
+	key  uint32
 	seq  uint64
-	rank *Rank
 }
 
 func (k tieKey) less(o tieKey) bool {
 	if k.born != o.born {
 		return k.born < o.born
 	}
-	if k.rank != nil && o.rank != nil {
-		if c := k.rank.cmp(o.rank); c != 0 {
-			return c < 0
-		}
+	if k.key != o.key {
+		return k.key < o.key
 	}
 	return k.seq < o.seq
 }
 
 // The queue is a 4-ary min-heap of entries: half the depth of a binary
-// heap, and a node's four children share a cache line or two.
-//
-// Any heap pops a strict total order in sorted order, whatever its arity,
-// so the arity cannot change which event fires next. The one place the
-// order is not total is the tie a Rank cannot order (see Rank): an event
-// outside every chain that ties on (when, born) with chain events compares
-// with them by seq while they compare with each other by Rank, and with an
-// intransitive order the pop sequence depends on the heap's shape.
+// heap, and a node's four children share a cache line or two. The order
+// is a strict total order, so the heap pops it in sorted order whatever
+// its arity.
 const arity = 4
 
 // before is the heap order. Its common case, distinct times, inlines into
@@ -141,7 +137,7 @@ func (s *Simulator) before(a, b entry) bool {
 //go:noinline
 func (s *Simulator) tieLess(a, b entry) bool {
 	sa, sb := s.slot(a.slot), s.slot(b.slot)
-	return tieKey{sa.born, a.seq, sa.rank}.less(tieKey{sb.born, b.seq, sb.rank})
+	return tieKey{sa.born, sa.key, a.seq}.less(tieKey{sb.born, sb.key, b.seq})
 }
 
 func (s *Simulator) push(e entry) {

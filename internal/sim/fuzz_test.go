@@ -12,10 +12,8 @@ type queue interface {
 	Pending() int
 	At(t Time, fn func()) handle
 	After(d Time, fn func()) handle
-	AtSeq(t, born Time, seq uint64, r *Rank, fn func()) handle
-	Reserve() uint64
-	ChainRank(period Time) *Rank
-	Passed(t, born Time, seq uint64, r *Rank) bool
+	AtKey(t, born Time, key uint32, fn func()) handle
+	Passed(t, born Time, key uint32) bool
 	Step() bool
 	RunUntil(deadline Time)
 	Stop()
@@ -31,20 +29,23 @@ type kernelQueue struct{ *Simulator }
 
 func (k kernelQueue) At(t Time, fn func()) handle    { return k.Simulator.At(t, fn) }
 func (k kernelQueue) After(d Time, fn func()) handle { return k.Simulator.After(d, fn) }
-func (k kernelQueue) AtSeq(t, born Time, seq uint64, r *Rank, fn func()) handle {
-	return k.Simulator.AtSeq(t, born, seq, r, fn)
+func (k kernelQueue) AtKey(t, born Time, key uint32, fn func()) handle {
+	return k.Simulator.AtKey(t, born, key, fn)
 }
 
 // fuzzPeriod is the period of every poll chain. Ordinary delays are
 // multiples of half of it, so events tie often, on and off the grid.
 const fuzzPeriod = 10
 
+// fuzzKeys is the number of distinct positive keys: few, so keyed events
+// share a key as often as they differ.
+const fuzzKeys = 3
+
 // chain is a parked poll chain, recorded the way internal/ixp's pools
-// record one: the next poll's time and key.
+// record one: the next poll's time, born and key.
 type chain struct {
 	next, born Time
-	seq        uint64
-	rank       *Rank
+	key        uint32
 }
 
 // runQueueOps drives q through the operations encoded in data and returns
@@ -52,13 +53,15 @@ type chain struct {
 // Passed's answer, each pending count. The top level reads an opcode
 // (op, Step, RunUntil or a burst of Steps); every fired callback reads a
 // count of ops to run, so a run ends when data does. An op schedules with
-// At, After, AtSeq on a reserved number, or as a poll of a chain (AtSeq
-// one period out with ChainRank); parks a chain or wakes a parked one at
-// its first grid point not yet passed; cancels a held handle, live or
-// stale; queries Passed; or stops the running RunUntil. A stopped RunUntil
-// still moves the clock to its deadline, so the events it left queued fire
-// in the clock's past, and so may a parked chain's or a reserved number's
-// born lie after now; the ops that would schedule one are skipped.
+// At or After; notes the current instant as a born for later; schedules
+// with AtKey under a noted born and key 0 or a positive key; schedules a
+// poll of a chain (AtKey one period out, born now, with the chain's key);
+// parks a chain or wakes a parked one at its first grid point not yet
+// passed; cancels a held handle, live or stale; queries Passed; or stops
+// the running RunUntil. A stopped RunUntil still moves the clock to its
+// deadline, so the events it left queued fire in the clock's past, and so
+// may a noted born or a parked chain's born lie after now; the ops that
+// would schedule one are skipped.
 func runQueueOps(t testing.TB, q queue, data []byte) []string {
 	var lines []string
 	logf := func(format string, args ...interface{}) {
@@ -74,33 +77,14 @@ func runQueueOps(t testing.TB, q queue, data []byte) []string {
 	}
 	pick := func(n int) int { return next() % n }
 	delay := func() Time { return Time(pick(4)) * fuzzPeriod / 2 }
-
-	// groups marks, per (when, born), whether an event outside every
-	// chain (1) or a chain poll (2) was ever scheduled with that key.
-	// Mixing the two is the one tie a Rank cannot order: the outsider
-	// compares with the polls by seq while the polls compare with each
-	// other by Rank, so the order is not transitive and the pop sequence
-	// of any heap depends on its shape — its arity included. No trial
-	// hits that tie (see Rank), so the ops that would make it are skipped.
-	groups := map[[2]Time]uint8{}
-	tieOK := func(when, born Time, ranked bool) bool {
-		k, bit := [2]Time{when, born}, uint8(1)
-		if ranked {
-			bit = 2
-		}
-		if groups[k]&^bit != 0 {
-			return false
-		}
-		groups[k] |= bit
-		return true
-	}
+	key := func() uint32 { return 1 + uint32(pick(fuzzKeys)) }
 
 	var (
-		handles  []handle
-		reserved []chain // born and seq of each unused Reserve
-		parked   []chain
-		nextID   int
-		op       func()
+		handles []handle
+		borns   []Time // instants noted for a later AtKey
+		parked  []chain
+		nextID  int
+		op      func()
 	)
 	fire := func() func() {
 		id := nextID
@@ -131,50 +115,50 @@ func runQueueOps(t testing.TB, q queue, data []byte) []string {
 		now := q.Now()
 		switch pick(10) {
 		case 0:
-			if at := now + delay(); tieOK(at, now, false) {
-				handles = append(handles, q.At(at, fire()))
-			}
+			handles = append(handles, q.At(now+delay(), fire()))
 		case 1:
-			if d := delay(); tieOK(now+d, now, false) {
-				handles = append(handles, q.After(d, fire()))
-			}
+			handles = append(handles, q.After(delay(), fire()))
 		case 2:
-			reserved = append(reserved, chain{born: now, seq: q.Reserve()})
+			borns = append(borns, now)
 		case 3:
-			if len(reserved) == 0 {
+			if len(borns) == 0 {
 				return
 			}
-			r := take(&reserved)
-			if at := now + delay(); r.born <= now && tieOK(at, r.born, false) {
-				handles = append(handles, q.AtSeq(at, r.born, r.seq, nil, fire()))
+			i := pick(len(borns))
+			born := borns[i]
+			borns = append(borns[:i], borns[i+1:]...)
+			k := uint32(0)
+			if pick(2) == 1 {
+				k = key()
+			}
+			if born <= now {
+				handles = append(handles, q.AtKey(now+delay(), born, k, fire()))
 			}
 		case 4:
-			if tieOK(now+fuzzPeriod, now, true) {
-				handles = append(handles, q.AtSeq(now+fuzzPeriod, now, q.Reserve(), q.ChainRank(fuzzPeriod), fire()))
-			}
+			handles = append(handles, q.AtKey(now+fuzzPeriod, now, key(), fire()))
 		case 5:
-			parked = append(parked, chain{next: now + fuzzPeriod, born: now, seq: q.Reserve(), rank: q.ChainRank(fuzzPeriod)})
+			parked = append(parked, chain{next: now + fuzzPeriod, born: now, key: key()})
 		case 6:
 			if len(parked) == 0 {
 				return
 			}
 			c := take(&parked)
-			if q.Passed(c.next, c.born, c.seq, c.rank) {
+			if q.Passed(c.next, c.born, c.key) {
 				// Move to the first grid point not yet passed, keyed born
-				// one period earlier with a fresh number.
+				// one period earlier.
 				k := Time(1)
 				if now > c.next {
 					k = (now - c.next + fuzzPeriod - 1) / fuzzPeriod
 				}
 				c.next += k * fuzzPeriod
-				c.born, c.seq = c.next-fuzzPeriod, q.Reserve()
-				if q.Passed(c.next, c.born, c.seq, c.rank) {
+				c.born = c.next - fuzzPeriod
+				if q.Passed(c.next, c.born, c.key) {
 					c.next += fuzzPeriod
 					c.born += fuzzPeriod
 				}
 			}
-			if c.born <= now && tieOK(c.next, c.born, true) {
-				handles = append(handles, q.AtSeq(c.next, c.born, c.seq, c.rank, fire()))
+			if c.born <= now {
+				handles = append(handles, q.AtKey(c.next, c.born, c.key, fire()))
 			}
 		case 7:
 			if len(handles) == 0 {
@@ -194,13 +178,9 @@ func runQueueOps(t testing.TB, q queue, data []byte) []string {
 			logf("cancel %v", was)
 		case 8:
 			at := now + Time(pick(3)-1)*fuzzPeriod/2
-			var r *Rank
-			if pick(2) == 1 {
-				r = q.ChainRank(fuzzPeriod)
-			}
 			born := at - Time(pick(3))*fuzzPeriod/2
-			seq := uint64(pick(256))
-			logf("passed(%d,%d,%d,%v) %v pending %d", at, born, seq, r != nil, q.Passed(at, born, seq, r), q.Pending())
+			k := uint32(pick(fuzzKeys + 1))
+			logf("passed(%d,%d,%d) %v pending %d", at, born, k, q.Passed(at, born, k), q.Pending())
 		case 9:
 			q.Stop()
 		}

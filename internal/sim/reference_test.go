@@ -13,8 +13,8 @@ type refSim struct {
 	stopped bool
 
 	curBorn Time
+	curKey  uint32
 	curSeq  uint64
-	curRank *Rank
 }
 
 func newRefSim() *refSim { return &refSim{curBorn: -1} }
@@ -22,9 +22,9 @@ func newRefSim() *refSim { return &refSim{curBorn: -1} }
 type refEvent struct {
 	when      Time
 	born      Time
+	key       uint32
 	seq       uint64
 	fn        func()
-	rank      *Rank
 	cancelled bool
 }
 
@@ -41,10 +41,8 @@ func (e *refEvent) tieLess(o *refEvent) bool {
 	if e.born != o.born {
 		return e.born < o.born
 	}
-	if e.rank != nil && o.rank != nil {
-		if c := e.rank.cmp(o.rank); c != 0 {
-			return c < 0
-		}
+	if e.key != o.key {
+		return e.key < o.key
 	}
 	return e.seq < o.seq
 }
@@ -110,45 +108,35 @@ func (s *refSim) Now() Time    { return s.now }
 func (s *refSim) Pending() int { return len(s.queue) }
 func (s *refSim) Stop()        { s.stopped = true }
 
-func (s *refSim) Reserve() uint64 {
-	seq := s.seq
-	s.seq++
-	return seq
-}
-
 func (s *refSim) At(t Time, fn func()) handle {
 	if t < s.now {
 		panic(fmt.Sprintf("ref: scheduling event at %v before now %v", t, s.now))
 	}
-	e := &refEvent{when: t, born: s.now, seq: s.Reserve(), fn: fn}
+	return s.push(t, s.now, 0, fn)
+}
+
+func (s *refSim) push(t, born Time, key uint32, fn func()) handle {
+	e := &refEvent{when: t, born: born, key: key, seq: s.seq, fn: fn}
+	s.seq++
 	s.queue.push(e)
 	return e
 }
 
 func (s *refSim) After(d Time, fn func()) handle { return s.At(s.now+d, fn) }
 
-func (s *refSim) AtSeq(t, born Time, seq uint64, r *Rank, fn func()) handle {
-	if t < s.now || born > s.now || born > t || seq >= s.seq {
-		panic(fmt.Sprintf("ref: bad AtSeq(%v, %v, %d) at %v", t, born, seq, s.now))
+func (s *refSim) AtKey(t, born Time, key uint32, fn func()) handle {
+	if t < s.now || born > s.now || born > t {
+		panic(fmt.Sprintf("ref: bad AtKey(%v, %v, %d) at %v", t, born, key, s.now))
 	}
-	e := &refEvent{when: t, born: born, seq: seq, fn: fn, rank: r}
-	s.queue.push(e)
-	return e
+	return s.push(t, born, key, fn)
 }
 
-func (s *refSim) Passed(t, born Time, seq uint64, r *Rank) bool {
+func (s *refSim) Passed(t, born Time, key uint32) bool {
 	if t != s.now {
 		return t < s.now
 	}
-	e := refEvent{born: born, seq: seq, rank: r}
-	return e.tieLess(&refEvent{born: s.curBorn, seq: s.curSeq, rank: s.curRank})
-}
-
-func (s *refSim) ChainRank(period Time) *Rank {
-	if s.curRank != nil && s.now-s.curBorn == period {
-		return s.curRank
-	}
-	return RootRank(s.now, s.curBorn, s.curSeq, s.curRank, period)
+	e := refEvent{born: born, key: key, seq: s.seq}
+	return e.tieLess(&refEvent{born: s.curBorn, key: s.curKey, seq: s.curSeq})
 }
 
 func (s *refSim) Step() bool {
@@ -158,7 +146,7 @@ func (s *refSim) Step() bool {
 			continue
 		}
 		s.now = e.when
-		s.curBorn, s.curSeq, s.curRank = e.born, e.seq, e.rank
+		s.curBorn, s.curKey, s.curSeq = e.born, e.key, e.seq
 		fn := e.fn
 		e.fn = nil
 		fn()
@@ -178,9 +166,9 @@ func (s *refSim) RunUntil(deadline Time) {
 	}
 	switch {
 	case !s.stopped:
-		s.curBorn, s.curSeq, s.curRank = Time(1<<63-1), ^uint64(0), nil
+		s.curBorn, s.curKey, s.curSeq = Time(1<<63-1), ^uint32(0), ^uint64(0)
 	case s.now < deadline:
-		s.curBorn, s.curSeq, s.curRank = -1, 0, nil
+		s.curBorn, s.curKey, s.curSeq = -1, 0, 0
 	}
 	if s.now < deadline {
 		s.now = deadline

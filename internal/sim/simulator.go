@@ -54,59 +54,51 @@ func (s *Simulator) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	return s.schedule(t, s.now, s.Reserve(), nil, fn)
+	return s.schedule(t, s.now, 0, fn)
 }
 
-// schedule stores the event in a free slot and queues it.
-func (s *Simulator) schedule(t, born Time, seq uint64, r *Rank, fn func()) Event {
+// schedule stores the event in a free slot and queues it under the next
+// sequence number.
+func (s *Simulator) schedule(t, born Time, key uint32, fn func()) Event {
 	i := s.alloc()
 	sl := s.slot(i)
-	sl.fn, sl.rank, sl.born = fn, r, born
-	s.push(entry{when: t, seq: seq, slot: i})
+	sl.fn, sl.born, sl.key = fn, born, key
+	s.push(entry{when: t, seq: s.seq, slot: i})
+	s.seq++
 	return Event{s: s, slot: i, gen: sl.gen}
 }
 
-// Reserve allocates the sequence number the next At would use, without
-// scheduling anything. A component that may later need an event ordered
-// exactly as one scheduled now reserves the number and hands it to AtSeq.
-func (s *Simulator) Reserve() uint64 {
-	seq := s.seq
-	s.seq++
-	return seq
-}
-
-// AtSeq schedules fn at t with an explicit tie-break key: among events at
-// t it sorts as if it had been scheduled at instant born with sequence
-// number seq (see tieKey), and among polls of chains on its grid by
-// rank r (nil for an event outside every chain). With born and seq from a
-// Reserve made at born, the event is indistinguishable from an At made
-// then. It panics if t is before now, born is after now or t, or seq was
-// never allocated.
-func (s *Simulator) AtSeq(t, born Time, seq uint64, r *Rank, fn func()) Event {
+// AtKey schedules fn at t with an explicit tie-break key: among events at
+// t it sorts as if it had been scheduled at instant born, and among those
+// by key, then in scheduling order (see tieKey). Key 0 is the key of every
+// At event, so AtKey(t, now, 0, fn) is At(t, fn). Periodic events that
+// each source schedules under its own positive key may be skipped while
+// they would change nothing: a later AtKey with the born the skipped event
+// would have had sorts exactly where that event would have been. It
+// panics if t is before now or born is after now or t.
+func (s *Simulator) AtKey(t, born Time, key uint32, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	if born > s.now || born > t {
 		panic(fmt.Sprintf("sim: event born at %v after now %v or its time %v", born, s.now, t))
 	}
-	if seq >= s.seq {
-		panic(fmt.Sprintf("sim: sequence number %d not yet allocated (next %d)", seq, s.seq))
-	}
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	return s.schedule(t, born, seq, r, fn)
+	return s.schedule(t, born, key, fn)
 }
 
-// Passed reports whether an event with key (t, born, seq, r) would already
-// have fired: its time is before now, or it is at now and sorts before the
-// event executing (or last executed) at now. After RunUntil advances the
-// clock past the last event, every key at now counts as passed.
-func (s *Simulator) Passed(t, born Time, seq uint64, r *Rank) bool {
+// Passed reports whether an event AtKey(t, born, key) scheduled now would
+// already have fired: its time is before now, or it is at now and sorts
+// before the event executing (or last executed) at now. After RunUntil
+// advances the clock past the last event, every key at now counts as
+// passed.
+func (s *Simulator) Passed(t, born Time, key uint32) bool {
 	if t != s.now {
 		return t < s.now
 	}
-	return tieKey{born, seq, r}.less(s.cur)
+	return tieKey{born, key, s.seq}.less(s.cur)
 }
 
 // After schedules fn to run d after the current time. A negative d panics.
@@ -128,7 +120,7 @@ func (s *Simulator) Step() bool {
 	sl := s.slot(e.slot)
 	fn := sl.fn
 	s.now = e.when
-	s.cur = tieKey{sl.born, e.seq, sl.rank}
+	s.cur = tieKey{sl.born, sl.key, e.seq}
 	sl.gen++
 	s.release(e.slot, sl)
 	s.fired++
@@ -161,7 +153,7 @@ func (s *Simulator) RunUntil(deadline Time) {
 	switch {
 	case !s.stopped:
 		// Every event at or before deadline has fired.
-		s.cur = tieKey{born: Time(1<<63 - 1), seq: ^uint64(0)}
+		s.cur = tieKey{born: Time(1<<63 - 1), key: ^uint32(0), seq: ^uint64(0)}
 	case s.now < deadline:
 		// Stopped early: nothing at deadline has fired.
 		s.cur = tieKey{born: -1}

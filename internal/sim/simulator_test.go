@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -308,5 +310,132 @@ func TestCancelledEventsDiscardedFromPeek(t *testing.T) {
 	s.RunUntil(25)
 	if !fired {
 		t.Fatal("event at 20 did not fire")
+	}
+}
+
+// TestAtKeyPastBornOrder pins the same-instant rule for an event whose born
+// lies in the past: after everything scheduled before that instant, before
+// everything scheduled after it, and among the events born then after the
+// ordinary ones and by key, whatever the order of scheduling.
+func TestAtKeyPastBornOrder(t *testing.T) {
+	s := New(1)
+	var got []string
+	mark := func(name string) func() { return func() { got = append(got, name) } }
+	s.At(5, func() { s.At(100, mark("born5")) })
+	s.At(20, func() { s.At(100, mark("born20")) })
+	s.At(30, func() { s.At(100, mark("born30")) })
+	s.At(60, func() {
+		s.AtKey(100, 20, 2, mark("key2"))
+		s.AtKey(100, 20, 1, mark("key1"))
+		s.AtKey(100, 20, 0, mark("key0"))
+		s.AtKey(100, 10, 7, mark("born10"))
+	})
+	s.Run()
+	if want := []string{"born5", "born10", "born20", "key0", "key1", "key2", "born30"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+}
+
+// TestAtKeyValidation pins the panics of AtKey's contract.
+func TestAtKeyValidation(t *testing.T) {
+	for name, fn := range map[string]func(s *Simulator){
+		"past time":    func(s *Simulator) { s.AtKey(5, 0, 0, func() {}) },
+		"future born":  func(s *Simulator) { s.AtKey(20, 15, 1, func() {}) },
+		"born after t": func(s *Simulator) { s.AtKey(12, 13, 1, func() {}) },
+		"nil callback": func(s *Simulator) { s.AtKey(20, 10, 1, nil) },
+	} {
+		s := New(1)
+		s.At(0, func() {})
+		s.RunUntil(10)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn(s)
+		}()
+	}
+}
+
+// TestPassed pins Passed against the event executing now and after
+// RunUntil has advanced the clock.
+func TestPassed(t *testing.T) {
+	s := New(1)
+	s.At(10, func() { s.AtKey(40, 10, 2, func() {}) })
+	s.At(40, func() {
+		// This event is (40, born 0, key 0): keys born earlier have fired,
+		// keys born later or keyed above 0 at born 0 have not.
+		if !s.Passed(39, 30, 9) || s.Passed(41, 0, 0) {
+			t.Error("time comparison wrong")
+		}
+		if !s.Passed(40, -1, 9) || s.Passed(40, 0, 0) || s.Passed(40, 0, 1) || s.Passed(40, 10, 0) {
+			t.Error("same-instant comparison wrong")
+		}
+	})
+	s.At(40, func() {})
+	for i := 0; i < 4; i++ {
+		s.Step()
+	}
+	// The keyed event (40, born 10, key 2) runs last at 40.
+	if !s.Passed(40, 0, 0) || !s.Passed(40, 10, 1) || s.Passed(40, 10, 3) {
+		t.Error("comparison against a keyed event wrong")
+	}
+	s.RunUntil(50)
+	if !s.Passed(50, 50, ^uint32(0)) {
+		t.Error("after RunUntil every key at now must count as passed")
+	}
+	// A RunUntil stopped early still moves the clock to its deadline, but
+	// the events queued there have not fired.
+	st := New(1)
+	st.At(5, st.Stop)
+	st.At(30, func() {})
+	st.RunUntil(30)
+	if st.Passed(30, 0, 0) {
+		t.Error("after a stopped RunUntil an unfired key at now counts as passed")
+	}
+}
+
+// TestBornKeyMatchesSeqOrder is the property behind the tie key: over
+// random schedules made only with At — ties, zero delays, events
+// scheduling events — the heap fires events exactly in (when, seq) order.
+func TestBornKeyMatchesSeqOrder(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		s := New(seed)
+		rng := NewRand(seed)
+		type rec struct {
+			when Time
+			seq  int
+		}
+		var fired []rec
+		n := 0
+		var spawn func(depth int)
+		spawn = func(depth int) {
+			seq := n
+			n++
+			d := Time(rng.Intn(4)) * 10 // coarse delays force ties
+			s.After(d, func() {
+				fired = append(fired, rec{s.Now(), seq})
+				if depth < 4 {
+					for k := rng.Intn(3); k > 0; k-- {
+						spawn(depth + 1)
+					}
+				}
+			})
+		}
+		for i := 0; i < 5; i++ {
+			spawn(0)
+		}
+		s.Run()
+		want := append([]rec(nil), fired...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].when != want[j].when {
+				return want[i].when < want[j].when
+			}
+			return want[i].seq < want[j].seq
+		})
+		if !reflect.DeepEqual(fired, want) {
+			t.Fatalf("seed %d: fired %v, want (when, seq) order %v", seed, fired, want)
+		}
 	}
 }

@@ -3,7 +3,8 @@
 // All platform substrates in this repository (the Xen credit scheduler, the
 // IXP network processor, the PCIe interconnect, and the workload models) are
 // driven by a single Simulator instance. Events execute in strict timestamp
-// order with FIFO tie-breaking, and all randomness flows through the
+// order with FIFO tie-breaking (events scheduled with AtKey break ties by
+// their born instant and key first), and all randomness flows through the
 // Simulator's seeded source, so a run is a pure function of its
 // configuration and seed.
 package sim

@@ -27,6 +27,7 @@
 package repro
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/rubis"
@@ -47,6 +48,16 @@ const (
 	// (ablation).
 	SchemeClass CoordScheme = "class"
 )
+
+// Validate reports a scheme that names no policy. The empty scheme
+// selects SchemeOutstanding.
+func (s CoordScheme) Validate() error {
+	switch s {
+	case "", SchemeOutstanding, SchemeLoadTrack, SchemeClass:
+		return nil
+	}
+	return fmt.Errorf("repro: unknown coordination scheme %q (want %s, %s or %s)", string(s), SchemeOutstanding, SchemeLoadTrack, SchemeClass)
+}
 
 func (s CoordScheme) internal() rubis.Scheme {
 	switch s {

@@ -67,11 +67,15 @@ const (
 )
 
 // Validate reports the first field, after defaults, that no point can run
-// on: an island count below 1 or given twice, a rate that is not finite
-// or whose mean interval between an island's messages is under 1ns (the
-// clock would never advance) or over a year, or a Duration, HopLatency or
+// on: an island count below 1 or given twice, a rate that is negative
+// (checked before the default replaces a zero rate), not finite, or whose
+// mean interval between an island's messages is under 1ns (the clock
+// would never advance) or over a year, or a Duration, HopLatency or
 // HubCost that is negative or over a year.
 func (c ScalabilityConfig) Validate() error {
+	if c.RatePerIsland < 0 {
+		return fmt.Errorf("repro: ScalabilityConfig.RatePerIsland %g is negative", c.RatePerIsland)
+	}
 	c.applyDefaults()
 	seen := make(map[int]bool, len(c.Islands))
 	for _, n := range c.Islands {
@@ -132,10 +136,10 @@ type ScalabilityPoint struct {
 // are deterministic and identical for any Workers value. It panics, before
 // any point runs, if cfg does not pass Validate.
 func RunCoordScalability(cfg ScalabilityConfig) []ScalabilityPoint {
-	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("repro: RunCoordScalability given an invalid config (%v)", err))
 	}
+	cfg.applyDefaults()
 
 	type pointCfg struct {
 		Topology      string  `json:"topology"`

@@ -165,6 +165,8 @@ func TestScalabilityConfigValidate(t *testing.T) {
 		{"repeated island count", ScalabilityConfig{Islands: []int{4, 8, 4}}, "Islands lists island count 4 twice"},
 		{"NaN rate", ScalabilityConfig{RatePerIsland: math.NaN()}, "RatePerIsland NaN"},
 		{"infinite rate", ScalabilityConfig{RatePerIsland: math.Inf(1)}, "RatePerIsland +Inf"},
+		{"negative rate", ScalabilityConfig{RatePerIsland: -5}, "RatePerIsland -5 is negative"},
+		{"negative infinite rate", ScalabilityConfig{RatePerIsland: math.Inf(-1)}, "RatePerIsland -Inf is negative"},
 		{"rate with a sub-nanosecond interval", ScalabilityConfig{RatePerIsland: 2e9}, "mean interval of 0.5ns"},
 		{"rate with an interval over a year", ScalabilityConfig{RatePerIsland: 1e-9}, "RatePerIsland 1e-09/s"},
 		{"negative duration", ScalabilityConfig{Duration: -time.Second}, "Duration -1s is negative"},

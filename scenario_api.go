@@ -203,9 +203,10 @@ type Scenario struct {
 }
 
 // Validate reports the first configuration error in the scenario:
-// unknown workload kinds, negative rates or loads, malformed fault
-// plans, overlapping fault windows, and unparsable shed policies are all
-// diagnosable errors here rather than panics at run time.
+// unknown workload kinds or coordination schemes, negative rates or
+// loads, malformed fault plans, overlapping fault windows, and
+// unparsable shed policies are all diagnosable errors here rather than
+// panics at run time.
 func (s Scenario) Validate() error {
 	if s.Duration < 0 {
 		return fmt.Errorf("repro: scenario %q has negative duration %v", s.Name, s.Duration)
@@ -218,6 +219,9 @@ func (s Scenario) Validate() error {
 	}
 	if s.LoadFactor < 0 {
 		return fmt.Errorf("repro: scenario %q has negative load factor %g", s.Name, s.LoadFactor)
+	}
+	if err := s.Scheme.Validate(); err != nil {
+		return fmt.Errorf("repro: scenario %q: %w", s.Name, err)
 	}
 	if err := s.Workload.Validate(); err != nil {
 		return err
@@ -419,6 +423,20 @@ func ScenarioMatrixPoints(cfg RubisConfig) []sweep.Point {
 	return points
 }
 
+// trial returns the scenario a scenario-matrix trial runs with the given
+// seed: the point's spec on the point's plane.
+func (pc scenarioPointCfg) trial(seed int64) Scenario {
+	spec := pc.Spec
+	spec.Seed = seed
+	spec.Coordinated = pc.Plane == "coord"
+	if spec.Overload != nil {
+		ov := *spec.Overload
+		ov.Coordinated = spec.Coordinated
+		spec.Overload = &ov
+	}
+	return spec
+}
+
 // ScenarioMatrixResult is one parallel run of the scenario matrix.
 type ScenarioMatrixResult struct {
 	Sweep *sweep.RunResult
@@ -443,14 +461,7 @@ func RunScenarioMatrix(cfg RubisConfig, opt SweepOptions) (*ScenarioMatrixResult
 		if !ok {
 			return nil, fmt.Errorf("repro: scenario-matrix point %q has config %T", t.Point.Name, t.Point.Config)
 		}
-		spec := pc.Spec
-		spec.Seed = t.Seed
-		spec.Coordinated = pc.Plane == "coord"
-		if spec.Overload != nil {
-			ov := *spec.Overload
-			ov.Coordinated = spec.Coordinated
-			spec.Overload = &ov
-		}
+		spec := pc.trial(t.Seed)
 		r, err := RunScenario(spec)
 		if err != nil {
 			return nil, err

@@ -131,6 +131,8 @@ func TestScenarioValidation(t *testing.T) {
 		{"negative duration", Scenario{Duration: -dur}, "negative duration"},
 		{"warmup swallows run", Scenario{Duration: dur, Warmup: dur}, "no measurement window"},
 		{"negative load", Scenario{LoadFactor: -1}, "negative load factor"},
+		{"unknown scheme", Scenario{Name: "s", Scheme: "nope"}, `scenario "s": repro: unknown coordination scheme "nope"`},
+		{"scheme in the wrong case", Scenario{Scheme: "Outstanding"}, `unknown coordination scheme "Outstanding"`},
 		{"trace without path", Scenario{Workload: &Workload{Kind: "trace"}}, "requires a path"},
 		{"path on closed loop", Scenario{Workload: &Workload{Kind: "sessions", Path: "x.wtrace"}}, "does not take a trace path"},
 		{"bad mix", Scenario{Workload: &Workload{Mix: "replay"}}, "unknown workload mix"},
@@ -165,6 +167,13 @@ func TestScenarioValidation(t *testing.T) {
 		err := tc.sc.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	// Every named scheme, and the empty default, validates.
+	for _, sc := range []CoordScheme{"", SchemeOutstanding, SchemeLoadTrack, SchemeClass} {
+		if err := (Scenario{Scheme: sc}).Validate(); err != nil {
+			t.Errorf("scheme %q rejected: %v", sc, err)
 		}
 	}
 

@@ -158,6 +158,24 @@ func FaultMatrixPoints(cfg RubisConfig) []sweep.Point {
 	return points
 }
 
+// trial returns the run a fault-matrix trial makes with the given seed:
+// cfg's run shape with the point's fault plan, plane and load, and
+// whether it is coordinated.
+func (pc faultPointCfg) trial(cfg RubisConfig, seed int64) (RubisConfig, bool) {
+	cfg.Seed = seed
+	cfg.Faults = pc.Plan
+	cfg.Robust = pc.Plane == "reliable"
+	if pc.Load > 0 {
+		cfg.LoadFactor = pc.Load
+		cfg.RequestTimeout = overloadStressTimeout
+		ov := overloadStressKnobs()
+		ov.Coordinated = pc.Plane != "none"
+		ov.Breaker = pc.Plane == "reliable"
+		cfg.Overload = &ov
+	}
+	return cfg, pc.Plane != "none"
+}
+
 // FaultMatrixResult is one parallel run of the fault matrix.
 type FaultMatrixResult struct {
 	// Sweep is the raw engine result (stable trial order, deterministic
@@ -185,19 +203,7 @@ func RunFaultMatrix(cfg RubisConfig, opt SweepOptions) (*FaultMatrixResult, erro
 		if !ok {
 			return nil, fmt.Errorf("repro: fault-matrix point %q has config %T", t.Point.Name, t.Point.Config)
 		}
-		trialCfg := cfg
-		trialCfg.Seed = t.Seed
-		trialCfg.Faults = pc.Plan
-		trialCfg.Robust = pc.Plane == "reliable"
-		if pc.Load > 0 {
-			trialCfg.LoadFactor = pc.Load
-			trialCfg.RequestTimeout = overloadStressTimeout
-			ov := overloadStressKnobs()
-			ov.Coordinated = pc.Plane != "none"
-			ov.Breaker = pc.Plane == "reliable"
-			trialCfg.Overload = &ov
-		}
-		r := RunRubis(trialCfg, pc.Plane != "none")
+		r := RunRubis(pc.trial(cfg, t.Seed))
 		rb := r.Robustness
 		ov := r.Overload
 		return FaultsRow{
@@ -477,6 +483,16 @@ func EnergyMatrixPoints(cfg RubisConfig) []sweep.Point {
 	return points
 }
 
+// trial returns the run an energy-matrix trial makes with the given seed:
+// cfg's run shape with the point's governor and load. Every energy trial
+// is coordinated.
+func (pc energyPointCfg) trial(cfg RubisConfig, seed int64) RubisConfig {
+	cfg.Seed = seed
+	cfg.LoadFactor = pc.Load
+	cfg.Energy = &EnergyControl{Governor: pc.Governor}
+	return cfg
+}
+
 // EnergyMatrixResult is one parallel run of the energy ablation.
 type EnergyMatrixResult struct {
 	Sweep *sweep.RunResult
@@ -501,11 +517,7 @@ func RunEnergyMatrix(cfg RubisConfig, opt SweepOptions) (*EnergyMatrixResult, er
 		if !ok {
 			return nil, fmt.Errorf("repro: energy-matrix point %q has config %T", t.Point.Name, t.Point.Config)
 		}
-		trialCfg := cfg
-		trialCfg.Seed = t.Seed
-		trialCfg.LoadFactor = pc.Load
-		trialCfg.Energy = &EnergyControl{Governor: pc.Governor}
-		r := RunRubis(trialCfg, true)
+		r := RunRubis(pc.trial(cfg, t.Seed), true)
 		e := r.Energy
 		return EnergyRow{
 			Governor:         pc.Governor,
